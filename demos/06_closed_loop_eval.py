@@ -23,7 +23,6 @@ bundle = PolicyBundle(
     enc_disp=load_model(model_dir / "autoencoder_disparity.sklm"),
     predictor=load_model(model_dir / "predictor.sklm"),
     stats=NormStats.from_dict(json.loads((model_dir / "norm_stats.json").read_text())),
-    downscale=2,
 )
 
 scenarios = [Scenario(f"scene{seed}", make_short_scene(seed), "short")

@@ -38,7 +38,6 @@ from .dataset import (  # noqa: F401
     DatasetError,
     Episode,
     NormStats,
-    Step,
     compute_norm_stats,
     denormalize_state,
     load_dataset,

@@ -191,12 +191,7 @@ def load_bundle(model_dir) -> PolicyBundle:
     enc_rgb = _load_model_file(model_dir / MODEL_FILES["rgb"])
     enc_disp = _load_model_file(model_dir / MODEL_FILES["disparity"])
     predictor = _load_model_file(model_dir / MODEL_FILES["predictor"])
-    manifest_path = model_dir / "train_autoencoder_rgb_manifest.json"
-    downscale = 2
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        downscale = manifest["config"]["learner.downscale"]["value"]
-    return PolicyBundle(enc_rgb, enc_disp, predictor, stats, downscale)
+    return PolicyBundle(enc_rgb, enc_disp, predictor, stats)
 
 
 # ----------------------------------------------------------------------

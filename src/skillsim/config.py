@@ -29,33 +29,36 @@ def _choice(*options):
     return parse
 
 
+# the expert.*, perception.* and learner.* defaults are the dataclass defaults
+_E, _P, _T = ExpertParams(), PerceptionParams(), TrainConfig()
+
 # key -> (default, parser, help)
 REGISTRY = {
     "scene.distractors": (2, int, "extra boxes per scene"),
     "scene.short_object_half_extent": (0.03, _bounded(float, 0.0), "short-variant object half extent (m)"),
     "scene.long_object_half_extent": (0.05, _bounded(float, 0.0), "long-variant object half extent (m)"),
     "sim.depth_noise_sigma": (0.002, float, "depth noise std (m), 0 disables"),
-    "perception.leaf": (0.01, _bounded(float, 0.0), "voxel edge length (m)"),
-    "perception.k_neighbors": (8, _bounded(int, 0), "outlier filter neighbor count"),
-    "perception.alpha": (1.0, float, "outlier filter stddev multiplier"),
-    "perception.color_threshold": (0.25, _bounded(float, 0.0), "RGB segmentation distance"),
-    "expert.standoff_m": (0.55, _bounded(float, 0.0), "navigation standoff from the object (m)"),
-    "expert.pregrasp_offset_m": (0.10, _bounded(float, 0.0), "pre-grasp height above the object (m)"),
-    "expert.lift_height_m": (0.15, _bounded(float, 0.0), "lift height after grasping (m)"),
-    "expert.locate_noise_sigma": (0.005, float, "short-variant localization noise std (m)"),
-    "expert.yaw_jitter_rad": (0.2, float, "approach bearing jitter amplitude (rad)"),
-    "expert.yaw_jitter": ("auto", _choice("auto", "on", "off"), "jitter mode (auto: long only)"),
-    "expert.max_ticks": (3000, _bounded(int, 0), "expert tick budget"),
-    "learner.epochs": (1000, _bounded(int, 0), "predictor training epochs"),
-    "learner.ae_epochs": (120, _bounded(int, 0), "autoencoder training epochs"),
-    "learner.batch": (64, _bounded(int, 0), "autoencoder minibatch size"),
-    "learner.lr": (1e-3, _bounded(float, 0.0), "Adam learning rate"),
-    "learner.grad_clip": (5.0, _bounded(float, 0.0), "gradient L2 clip"),
-    "learner.tbptt": (32, _bounded(int, 0), "truncated BPTT window"),
-    "learner.downscale": (2, _bounded(int, 0), "image downscale factor at the learner"),
-    "learner.latent": (32, _bounded(int, 0), "autoencoder latent size"),
-    "learner.hidden": (64, _bounded(int, 0), "recurrent hidden size"),
-    "learner.frame_stride": (1, _bounded(int, 0), "autoencoder frame subsampling stride"),
+    "perception.leaf": (_P.leaf, _bounded(float, 0.0), "voxel edge length (m)"),
+    "perception.k_neighbors": (_P.k_neighbors, _bounded(int, 0), "outlier filter neighbor count"),
+    "perception.alpha": (_P.alpha, float, "outlier filter stddev multiplier"),
+    "perception.color_threshold": (_P.color_threshold, _bounded(float, 0.0), "RGB segmentation distance"),
+    "expert.standoff_m": (_E.standoff_m, _bounded(float, 0.0), "navigation standoff from the object (m)"),
+    "expert.pregrasp_offset_m": (_E.pregrasp_offset_m, _bounded(float, 0.0), "pre-grasp height above the object (m)"),
+    "expert.lift_height_m": (_E.lift_height_m, _bounded(float, 0.0), "lift height after grasping (m)"),
+    "expert.locate_noise_sigma": (_E.locate_noise_sigma, float, "short-variant localization noise std (m)"),
+    "expert.yaw_jitter_rad": (_E.yaw_jitter_rad, float, "approach bearing jitter amplitude (rad)"),
+    "expert.yaw_jitter": (_E.yaw_jitter, _choice("auto", "on", "off"), "jitter mode (auto: long only)"),
+    "expert.max_ticks": (_E.max_ticks, _bounded(int, 0), "expert tick budget"),
+    "learner.epochs": (_T.epochs, _bounded(int, 0), "predictor training epochs"),
+    "learner.ae_epochs": (_T.ae_epochs, _bounded(int, 0), "autoencoder training epochs"),
+    "learner.batch": (_T.batch, _bounded(int, 0), "autoencoder minibatch size"),
+    "learner.lr": (_T.lr, _bounded(float, 0.0), "Adam learning rate"),
+    "learner.grad_clip": (_T.grad_clip, _bounded(float, 0.0), "gradient L2 clip"),
+    "learner.tbptt": (_T.tbptt, _bounded(int, 0), "truncated BPTT window"),
+    "learner.downscale": (_T.downscale, _bounded(int, 0), "image downscale factor at the learner"),
+    "learner.latent": (_T.latent, _bounded(int, 0), "autoencoder latent size"),
+    "learner.hidden": (_T.hidden, _bounded(int, 0), "recurrent hidden size"),
+    "learner.frame_stride": (_T.frame_stride, _bounded(int, 0), "autoencoder frame subsampling stride"),
     "eval.max_steps": (300, _bounded(int, 0), "rollout step budget"),
 }
 
@@ -76,42 +79,21 @@ class RunConfig:
         return {k: {"value": self.values[k], "source": self.provenance[k]}
                 for k in sorted(self.values)}
 
+    def _section(self, section: str) -> dict:
+        """Values of `section.*` keys, keyed by the dataclass field they set."""
+        prefix = section + "."
+        return {k[len(prefix):]: v for k, v in self.values.items() if k.startswith(prefix)}
+
     def perception_params(self) -> PerceptionParams:
-        p = PerceptionParams(
-            leaf=self["perception.leaf"],
-            k_neighbors=self["perception.k_neighbors"],
-            alpha=self["perception.alpha"],
-            color_threshold=self["perception.color_threshold"],
-        )
+        p = PerceptionParams(**self._section("perception"))
         p.validate()
         return p
 
     def expert_params(self) -> ExpertParams:
-        return ExpertParams(
-            standoff_m=self["expert.standoff_m"],
-            pregrasp_offset_m=self["expert.pregrasp_offset_m"],
-            lift_height_m=self["expert.lift_height_m"],
-            locate_noise_sigma=self["expert.locate_noise_sigma"],
-            yaw_jitter_rad=self["expert.yaw_jitter_rad"],
-            yaw_jitter=self["expert.yaw_jitter"],
-            max_ticks=self["expert.max_ticks"],
-            perception=self.perception_params(),
-        )
+        return ExpertParams(**self._section("expert"), perception=self.perception_params())
 
     def train_config(self, seed: int = 0) -> TrainConfig:
-        cfg = TrainConfig(
-            epochs=self["learner.epochs"],
-            ae_epochs=self["learner.ae_epochs"],
-            batch=self["learner.batch"],
-            lr=self["learner.lr"],
-            grad_clip=self["learner.grad_clip"],
-            tbptt=self["learner.tbptt"],
-            seed=seed,
-            downscale=self["learner.downscale"],
-            latent=self["learner.latent"],
-            hidden=self["learner.hidden"],
-            frame_stride=self["learner.frame_stride"],
-        )
+        cfg = TrainConfig(**self._section("learner"), seed=seed)
         cfg.validate()
         return cfg
 

@@ -28,35 +28,30 @@ class DatasetError(ValueError):
     """Unreadable or inconsistent episode data."""
 
 
-@dataclass
-class Step:
-    t: int
-    state: np.ndarray                 # (5,) float32 joints incl. gripper
-    base_cmd: np.ndarray | None       # (2,) float32, long variant only
-    rgb: np.ndarray                   # (H, W, 3) uint8
-    disparity: np.ndarray             # (H, W) float32
+def steps_dtype(h: int, w: int, has_cmd: bool) -> np.dtype:
+    """The packed little-endian `steps.bin` record of one step."""
+    fields = [("state", "<f4", (5,))]
+    if has_cmd:
+        fields.append(("cmd", "<f4", (2,)))
+    fields += [("rgb", "u1", (h, w, 3)), ("disparity", "<f4", (h, w))]
+    return np.dtype(fields)
 
 
 @dataclass
 class Episode:
-    steps: list
+    """One recorded episode as per-step columns; row t is step t."""
+
+    states: np.ndarray                # (T, 5) float32 joints incl. gripper
+    cmds: np.ndarray | None           # (T, 2) float32 (v, omega), long variant only
+    rgb: np.ndarray                   # (T, H, W, 3) uint8
+    disparity: np.ndarray             # (T, H, W) float32
     variant: str
     scene: object                     # WorldConfig snapshot
     outcome: str
     seed: int
 
     def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def state_matrix(self) -> np.ndarray:
-        return np.stack([s.state for s in self.steps])
-
-    @property
-    def cmd_matrix(self) -> np.ndarray | None:
-        if self.variant != "long":
-            return None
-        return np.stack([s.base_cmd for s in self.steps])
+        return self.states.shape[0]
 
 
 def record(transcript: ExpertTranscript) -> Episode:
@@ -67,22 +62,26 @@ def record(transcript: ExpertTranscript) -> Episode:
     prediction pairs.
     """
     world = World(transcript.config)
-    steps = []
+    cam = transcript.config.camera
+    n = len(transcript.ticks)
+    states = np.empty((n, 5), dtype=np.float32)
+    rgb = np.empty((n, cam.height, cam.width, 3), dtype=np.uint8)
+    disparity = np.empty((n, cam.height, cam.width), dtype=np.float32)
     for t, rec in enumerate(transcript.ticks):
         frame = world.render()
-        cmd = None
-        if transcript.variant == "long":
-            cmd = np.array([rec.v, rec.omega], dtype=np.float32)
-        steps.append(Step(
-            t=t,
-            state=world.state.joints.astype(np.float32),
-            base_cmd=cmd,
-            rgb=frame.rgb,
-            disparity=frame.disparity,
-        ))
+        states[t] = world.state.joints
+        rgb[t] = frame.rgb
+        disparity[t] = frame.disparity
         world.step(BaseCommand(rec.v, rec.omega), rec.joint_target)
+    cmds = None
+    if transcript.variant == "long":
+        cmds = np.array([(rec.v, rec.omega) for rec in transcript.ticks],
+                        dtype=np.float32).reshape(n, 2)
     return Episode(
-        steps=steps,
+        states=states,
+        cmds=cmds,
+        rgb=rgb,
+        disparity=disparity,
         variant=transcript.variant,
         scene=transcript.config,
         outcome=transcript.outcome,
@@ -93,28 +92,37 @@ def record(transcript: ExpertTranscript) -> Episode:
 def save_episode(episode: Episode, dirpath) -> None:
     d = FsPath(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    h, w = episode.steps[0].rgb.shape[:2] if episode.steps else (0, 0)
+    n = len(episode)
+    has_cmd = episode.variant == "long"
+    h, w = episode.rgb.shape[1:3] if n else (0, 0)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "variant": episode.variant,
-        "steps": len(episode.steps),
-        "dims": {"state": 5, "cmd": 2 if episode.variant == "long" else 0,
-                 "height": h, "width": w},
+        "steps": n,
+        "dims": {"state": 5, "cmd": 2 if has_cmd else 0, "height": h, "width": w},
         "dt": episode.scene.dt,
         "seed": episode.seed,
         "outcome": episode.outcome,
         "scene": config_to_dict(episode.scene),
     }
     (d / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    records = np.empty(n, dtype=steps_dtype(h, w, has_cmd))
+    if n:
+        records["state"] = episode.states
+        if has_cmd:
+            records["cmd"] = episode.cmds
+        records["rgb"] = episode.rgb
+        records["disparity"] = episode.disparity
     with open(d / "steps.bin", "wb") as fh:
         fh.write(STEPS_MAGIC)
-        fh.write(struct.pack("<I", len(episode.steps)))
-        for step in episode.steps:
-            fh.write(step.state.astype("<f4").tobytes())
-            if episode.variant == "long":
-                fh.write(step.base_cmd.astype("<f4").tobytes())
-            fh.write(step.rgb.tobytes())
-            fh.write(step.disparity.astype("<f4").tobytes())
+        fh.write(struct.pack("<I", n))
+        fh.write(records.tobytes())
+
+
+def _key(mapping, key, path, where=""):
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise DatasetError(f"{path}: manifest lacks key {where}{key!r}")
+    return mapping[key]
 
 
 def load_episode(dirpath) -> Episode:
@@ -123,50 +131,36 @@ def load_episode(dirpath) -> Episode:
     if not mpath.exists():
         raise DatasetError(f"{mpath}: missing manifest")
     manifest = json.loads(mpath.read_text())
-    if manifest.get("schema_version") != SCHEMA_VERSION:
+    if _key(manifest, "schema_version", mpath) != SCHEMA_VERSION:
         raise DatasetError(f"{mpath}: unsupported dataset version "
-                           f"{manifest.get('schema_version')!r}")
-    variant = manifest["variant"]
-    n = manifest["steps"]
-    dims = manifest["dims"]
-    h, w = dims["height"], dims["width"]
-    has_cmd = dims["cmd"] == 2
+                           f"{manifest['schema_version']!r}")
+    n = _key(manifest, "steps", mpath)
+    dims = _key(manifest, "dims", mpath)
+    h, w, cmd = (_key(dims, k, mpath, "dims.") for k in ("height", "width", "cmd"))
+    has_cmd = cmd == 2
+    dtype = steps_dtype(h, w, has_cmd)
 
     spath = d / "steps.bin"
     blob = spath.read_bytes()
     if blob[:8] != STEPS_MAGIC:
         raise DatasetError(f"{spath}: bad magic at offset 0")
+    expected = 12 + n * dtype.itemsize
+    if len(blob) != expected:
+        raise DatasetError(f"{spath}: expected {expected} bytes, got {len(blob)}")
     (count,) = struct.unpack_from("<I", blob, 8)
     if count != n:
         raise DatasetError(f"{spath}: step count {count} does not match manifest {n}")
-    step_bytes = 5 * 4 + (8 if has_cmd else 0) + h * w * 3 + h * w * 4
-    expected = 12 + n * step_bytes
-    if len(blob) != expected:
-        raise DatasetError(f"{spath}: expected {expected} bytes, got {len(blob)}")
 
-    steps = []
-    off = 12
-    for t in range(n):
-        state = np.frombuffer(blob, dtype="<f4", count=5, offset=off).copy()
-        off += 20
-        cmd = None
-        if has_cmd:
-            cmd = np.frombuffer(blob, dtype="<f4", count=2, offset=off).copy()
-            off += 8
-        rgb = np.frombuffer(blob, dtype=np.uint8, count=h * w * 3, offset=off)
-        rgb = rgb.reshape(h, w, 3).copy()
-        off += h * w * 3
-        disparity = np.frombuffer(blob, dtype="<f4", count=h * w, offset=off)
-        disparity = disparity.reshape(h, w).copy()
-        off += h * w * 4
-        steps.append(Step(t=t, state=state, base_cmd=cmd, rgb=rgb, disparity=disparity))
-
+    records = np.frombuffer(blob, dtype, count=n, offset=12)
     return Episode(
-        steps=steps,
-        variant=variant,
-        scene=config_from_dict(manifest["scene"]),
-        outcome=manifest["outcome"],
-        seed=int(manifest["seed"]),
+        states=records["state"].copy(),
+        cmds=records["cmd"].copy() if has_cmd else None,
+        rgb=records["rgb"].copy(),
+        disparity=records["disparity"].copy(),
+        variant=_key(manifest, "variant", mpath),
+        scene=config_from_dict(_key(manifest, "scene", mpath)),
+        outcome=_key(manifest, "outcome", mpath),
+        seed=int(_key(manifest, "seed", mpath)),
     )
 
 
@@ -264,12 +258,12 @@ def compute_norm_stats(episodes) -> NormStats:
     """
     if not episodes:
         raise DatasetError("no episodes to compute statistics from")
-    states = np.concatenate([e.state_matrix for e in episodes], axis=0)
+    states = np.concatenate([e.states for e in episodes], axis=0)
     state_min, state_max, state_flags = _min_max(states)
 
     cmd_min = cmd_max = cmd_flags = None
     if all(e.variant == "long" for e in episodes):
-        cmds = np.concatenate([e.cmd_matrix for e in episodes], axis=0)
+        cmds = np.concatenate([e.cmds for e in episodes], axis=0)
         cmd_min, cmd_max, cmd_flags = _min_max(cmds)
 
     px_sum = np.zeros(3)
@@ -278,12 +272,14 @@ def compute_norm_stats(episodes) -> NormStats:
     d_sum = d_sq = 0.0
     d_n = 0
     for ep in episodes:
-        for step in ep.steps:
-            img = step.rgb.astype(np.float64) / 255.0
+        # frame by frame: summing a whole stack at once reorders the float
+        # additions and changes the statistics' last bits
+        for rgb, disparity in zip(ep.rgb, ep.disparity):
+            img = rgb.astype(np.float64) / 255.0
             px_sum += img.sum(axis=(0, 1))
             px_sq += (img * img).sum(axis=(0, 1))
             px_n += img.shape[0] * img.shape[1]
-            disp = step.disparity.astype(np.float64)
+            disp = disparity.astype(np.float64)
             nz = disp[disp > 0.0]
             d_sum += nz.sum()
             d_sq += (nz * nz).sum()

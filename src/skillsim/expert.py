@@ -9,6 +9,7 @@ Every tick's command is recorded in a transcript so episodes can be replayed.
 
 from __future__ import annotations
 
+import copy
 import enum
 import logging
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from . import kinematics
 from .kinematics import IkError
 from .nav import OccupancyGrid, PlanningError, astar, follow_path
 from .perception import PerceptionError, PerceptionParams, locate_object
-from .sim import ROBOT_RADIUS, BaseCommand, World, WorldConfig, config_copy, wrap_angle
+from .sim import ROBOT_RADIUS, BaseCommand, World, WorldConfig, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -140,7 +141,7 @@ class _Run:
         self.params = params
         self.rng = np.random.default_rng([world.config.rng_seed, 17])
         self.transcript = ExpertTranscript(
-            variant=variant, config=config_copy(world.config), target_id=target_id
+            variant=variant, config=copy.deepcopy(world.config), target_id=target_id
         )
         self.tick = 0
         self.phase: ExpertPhase | None = None

@@ -47,13 +47,18 @@ def read_pgm16(path) -> np.ndarray:
 
 
 def block_mean(img: np.ndarray, factor: int) -> np.ndarray:
-    """Downscale by integer factor with 2D block averaging; channels preserved."""
+    """Downscale by integer factor with 2D block averaging.
+
+    A 2-D input is one (H, W) image; otherwise the last three axes are
+    (H, W, channels), so a stack of frames is downscaled in one call.
+    """
     if factor == 1:
         return np.asarray(img, dtype=np.float64)
-    h, w = img.shape[:2]
+    x = np.asarray(img, dtype=np.float64)
+    h, w = x.shape[:2] if x.ndim == 2 else x.shape[-3:-1]
     if h % factor or w % factor:
         raise ValueError(f"image {h}x{w} not divisible by factor {factor}")
-    x = np.asarray(img, dtype=np.float64)
     if x.ndim == 2:
         return x.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
-    return x.reshape(h // factor, factor, w // factor, factor, -1).mean(axis=(1, 3))
+    blocks = x.reshape(*x.shape[:-3], h // factor, factor, w // factor, factor, x.shape[-1])
+    return blocks.mean(axis=(-4, -2))

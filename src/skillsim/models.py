@@ -130,24 +130,30 @@ def _read_entries(path) -> dict:
         blob = fh.read()
     if blob[:8] != MODEL_MAGIC:
         raise ModelError(f"{path}: not a model file (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 8)
+    off = 8
+
+    def need(size: int) -> int:
+        """Offset of the next `size` bytes, after checking they exist."""
+        nonlocal off
+        if off + size > len(blob):
+            raise ModelError(f"{path}: truncated at offset {off}: need {size} bytes, "
+                             f"{len(blob) - off} left")
+        off += size
+        return off - size
+
+    version, count = struct.unpack_from("<II", blob, need(8))
     if version != MODEL_VERSION:
         raise ModelError(f"{path}: unsupported model version {version}")
     entries = {}
-    off = 16
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode()
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
+        (name_len,) = struct.unpack_from("<H", blob, need(2))
+        start = need(name_len)
+        name = blob[start:off].decode()
+        (ndim,) = struct.unpack_from("<B", blob, need(1))
+        shape = struct.unpack_from(f"<{ndim}I", blob, need(4 * ndim))
         size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape)
-        off += 4 * size
-        entries[name] = arr.copy()
+        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=need(4 * size))
+        entries[name] = arr.reshape(shape).copy()
     if off != len(blob):
         raise ModelError(f"{path}: {len(blob) - off} trailing bytes")
     return entries
@@ -179,14 +185,15 @@ def load_model(path):
 
 
 def standardize_rgb(rgb: np.ndarray, stats: NormStats, downscale: int) -> np.ndarray:
-    """uint8 (H, W, 3) image to standardized float32 at learner resolution."""
+    """uint8 (..., H, W, 3) images to standardized float32 at learner resolution."""
     img = block_mean(rgb, downscale) / 255.0
     return ((img - stats.image_mean) / stats.image_std).astype(np.float32)
 
 
 def standardize_disparity(disp: np.ndarray, stats: NormStats, downscale: int) -> np.ndarray:
-    img = block_mean(disp, downscale)
-    return (((img - stats.disp_mean) / stats.disp_std)[..., None]).astype(np.float32)
+    """float32 (..., H, W) disparity to standardized (..., h, w, 1) at learner resolution."""
+    img = block_mean(disp[..., None], downscale)
+    return ((img - stats.disp_mean) / stats.disp_std).astype(np.float32)
 
 
 @dataclass
@@ -197,7 +204,6 @@ class PolicyBundle:
     enc_disp: Autoencoder
     predictor: Predictor
     stats: NormStats
-    downscale: int
 
     @property
     def d_state(self) -> int:
@@ -205,15 +211,24 @@ class PolicyBundle:
 
     @property
     def variant(self) -> str:
-        return "long" if self.d_state == 7 else "short"
+        variants = {5: "short", 7: "long"}
+        if self.d_state not in variants:
+            raise ModelError(f"predictor state dimension {self.d_state} is neither "
+                             f"5 (short) nor 7 (long)")
+        return variants[self.d_state]
 
     def encode_frame(self, frame) -> np.ndarray:
-        z_rgb = self.enc_rgb.encode(
-            standardize_rgb(frame.rgb, self.stats, self.downscale)[None, ...]
-        )
+        hw, width = self.enc_rgb.hw, frame.rgb.shape[1]
+        if self.enc_disp.hw != hw:
+            raise ModelError(f"RGB encoder input {hw} differs from disparity "
+                             f"encoder input {self.enc_disp.hw}")
+        if width % hw:
+            raise ModelError(f"frame width {width} is not a multiple of "
+                             f"encoder input size {hw}")
+        downscale = width // hw
+        z_rgb = self.enc_rgb.encode(standardize_rgb(frame.rgb[None], self.stats, downscale))
         z_disp = self.enc_disp.encode(
-            standardize_disparity(frame.disparity, self.stats, self.downscale)[None, ...]
-        )
+            standardize_disparity(frame.disparity[None], self.stats, downscale))
         return np.concatenate([z_rgb[0], z_disp[0]])
 
 

@@ -172,7 +172,7 @@ class Sequential:
             dout = layer.backward(dout)
         return dout
 
-    def named_params(self, prefix: str):
+    def named_params(self, prefix: str = "net"):
         out = []
         for i, layer in enumerate(self.layers):
             out.extend(layer.named_params(f"{prefix}.{i}"))

@@ -8,7 +8,6 @@ against axis-aligned boxes. Everything is kinematic and seed-deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -404,22 +403,3 @@ class World:
             cloud=cloud,
             hit_ids=id_best.reshape(h, w),
         )
-
-
-def config_copy(config: WorldConfig) -> WorldConfig:
-    """Deep copy so replays cannot alias mutable arrays."""
-    return WorldConfig(
-        table_center=config.table_center.copy(),
-        table_size=config.table_size.copy(),
-        objects=[ObjectSpec(o.id, o.center.copy(), o.half_extents.copy(), o.color.copy())
-                 for o in config.objects],
-        obstacle_boxes=[Box(b.center.copy(), b.half_extents.copy())
-                        for b in config.obstacle_boxes],
-        camera=dataclasses.replace(config.camera),
-        rng_seed=config.rng_seed,
-        dt=config.dt,
-        depth_noise_sigma=config.depth_noise_sigma,
-        robot_start=config.robot_start.copy(),
-        robot_joints=config.robot_joints.copy(),
-        target_id=config.target_id,
-    )

@@ -53,18 +53,15 @@ def write_loss_csv(path, losses) -> None:
 
 def collect_frames(episodes, modality: str, stats: NormStats, config: TrainConfig) -> np.ndarray:
     """Standardized learner-resolution frames from every step (configurable stride)."""
-    frames = []
-    for ep in episodes:
-        for step in ep.steps[::config.frame_stride]:
-            if modality == "rgb":
-                frames.append(standardize_rgb(step.rgb, stats, config.downscale))
-            elif modality == "disparity":
-                frames.append(standardize_disparity(step.disparity, stats, config.downscale))
-            else:
-                raise ValueError(f"unknown modality {modality!r}")
-    if not frames:
+    standardize = {"rgb": standardize_rgb, "disparity": standardize_disparity}.get(modality)
+    if standardize is None:
+        raise ValueError(f"unknown modality {modality!r}")
+    # the modality names the Episode column it reads
+    frames = [standardize(getattr(ep, modality)[::config.frame_stride], stats, config.downscale)
+              for ep in episodes]
+    if sum(len(f) for f in frames) == 0:
         raise ValueError("no frames to train on")
-    return np.stack(frames)
+    return np.concatenate(frames)
 
 
 def train_autoencoder(episodes, modality: str, stats: NormStats, config: TrainConfig):
@@ -113,13 +110,12 @@ def _episode_sequences(episodes, enc_rgb: Autoencoder, enc_disp: Autoencoder,
         if len(ep) < 2:
             log.warning("skipping episode with %d step(s)", len(ep))
             continue
-        rgb = np.stack([standardize_rgb(s.rgb, stats, config.downscale) for s in ep.steps])
-        disp = np.stack([standardize_disparity(s.disparity, stats, config.downscale)
-                         for s in ep.steps])
+        rgb = standardize_rgb(ep.rgb, stats, config.downscale)
+        disp = standardize_disparity(ep.disparity, stats, config.downscale)
         z = np.concatenate([enc_rgb.encode(rgb), enc_disp.encode(disp)], axis=1)
-        state = ep.state_matrix.astype(float)
+        state = ep.states.astype(float)
         if include_cmd:
-            state = np.concatenate([state, ep.cmd_matrix.astype(float)], axis=1)
+            state = np.concatenate([state, ep.cmds.astype(float)], axis=1)
         state_n = normalize_state(state, stats).astype(np.float32)
         x = np.concatenate([z[:-1], state_n[:-1]], axis=1)
         seqs.append((x.astype(np.float32), state_n[1:]))
@@ -261,22 +257,15 @@ def _max_rel_err(analytic, numeric) -> float:
     return worst
 
 
-def _check_net(layers, x, target, params):
-    net = nn.Sequential(layers)
-
-    def loss_fn():
-        out = net.forward(x)
-        loss, _ = nn.loss_mse(out, target)
-        return loss
-
-    for _, p in params:
+def _check_grads(params, loss_fn, backward) -> float:
+    """Max relative error between the gradients `backward` accumulates into
+    params (zeroed first) and central differences of `loss_fn`."""
+    values = [p for _, p in params]
+    for p in values:
         p.grad[...] = 0.0
-    out = net.forward(x)
-    _, dout = nn.loss_mse(out, target)
-    net.backward(dout)
-    analytic = [p.grad.copy() for _, p in params]
-    numeric = _numeric_grads(loss_fn, [p for _, p in params])
-    return _max_rel_err(analytic, numeric)
+    backward()
+    analytic = [p.grad.copy() for p in values]
+    return _max_rel_err(analytic, _numeric_grads(loss_fn, values))
 
 
 def gradcheck(kind: str, seed: int = 0) -> GradCheckResult:
@@ -301,67 +290,56 @@ def gradcheck(kind: str, seed: int = 0) -> GradCheckResult:
         err = float(np.max(np.abs(analytic - numeric)))
         return GradCheckResult(kind, err, threshold=1e-9)
 
-    if kind == "dense":
-        layers = [nn.Dense(5, 7, rng, dtype=f64), nn.ReLU(), nn.Dense(7, 3, rng, dtype=f64)]
-        x = rng.normal(size=(4, 5))
-        t = rng.normal(size=(4, 3))
-    elif kind == "conv":
-        layers = [nn.Conv2d(2, 3, rng, stride=1, dtype=f64), nn.ReLU(), nn.Flatten(),
-                  nn.Dense(5 * 5 * 3, 4, rng, dtype=f64)]
-        x = rng.normal(size=(2, 5, 5, 2))
-        t = rng.normal(size=(2, 4))
-    elif kind == "conv_stride2":
-        layers = [nn.Conv2d(2, 3, rng, stride=2, dtype=f64), nn.Flatten(),
-                  nn.Dense(3 * 3 * 3, 4, rng, dtype=f64)]
-        x = rng.normal(size=(2, 6, 6, 2))
-        t = rng.normal(size=(2, 4))
-    elif kind == "upsample":
-        layers = [nn.Dense(6, 2 * 2 * 2, rng, dtype=f64), nn.Reshape(2, 2, 2),
-                  nn.Upsample2x(), nn.Conv2d(2, 2, rng, stride=1, dtype=f64)]
-        x = rng.normal(size=(3, 6))
-        t = rng.normal(size=(3, 4, 4, 2))
-    elif kind == "autoencoder":
-        ae = Autoencoder(1, 8, 3, rng, dtype=f64)
-        x = rng.normal(size=(2, 8, 8, 1))
-        params = ae.named_params()
-
-        def ae_loss():
-            loss, _ = nn.loss_mse(ae.forward(x), x)
-            return loss
-
-        for _, p in params:
-            p.grad[...] = 0.0
-        _, dout = nn.loss_mse(ae.forward(x), x)
-        ae.backward(dout)
-        analytic = [p.grad.copy() for _, p in params]
-        numeric = _numeric_grads(ae_loss, [p for _, p in params])
-        return GradCheckResult(kind, _max_rel_err(analytic, numeric))
-    elif kind in ("lstm", "predictor"):
+    if kind in ("lstm", "predictor"):
         pred = Predictor(latent=2, d_state=3, hidden=5, rng=rng, dtype=f64)
         steps = 5
         X = rng.normal(size=(2, steps, pred.n_in))
         Y = rng.normal(size=(2, steps, 3))
         M = np.ones((2, steps))
         M[1, -2:] = 0.0  # exercise the masked path
-        params = pred.named_params()
 
         def seq_loss():
-            h, c = pred.zero_state(2)
-            s, n, _ = predictor_window_pass(pred, X, Y, M, h, c, compute_grads=False)
+            s, n, _ = predictor_window_pass(pred, X, Y, M, *pred.zero_state(2),
+                                            compute_grads=False)
             return s / n
 
-        for _, p in params:
-            p.grad[...] = 0.0
-        h, c = pred.zero_state(2)
-        predictor_window_pass(pred, X, Y, M, h, c)
-        analytic = [p.grad.copy() for _, p in params]
-        numeric = _numeric_grads(seq_loss, [p for _, p in params])
-        return GradCheckResult(kind, _max_rel_err(analytic, numeric))
+        err = _check_grads(pred.named_params(), seq_loss,
+                           lambda: predictor_window_pass(pred, X, Y, M, *pred.zero_state(2)))
+        return GradCheckResult(kind, err)
+
+    if kind == "dense":
+        model = nn.Sequential([nn.Dense(5, 7, rng, dtype=f64), nn.ReLU(),
+                               nn.Dense(7, 3, rng, dtype=f64)])
+        x = rng.normal(size=(4, 5))
+        t = rng.normal(size=(4, 3))
+    elif kind == "conv":
+        model = nn.Sequential([nn.Conv2d(2, 3, rng, stride=1, dtype=f64), nn.ReLU(),
+                               nn.Flatten(), nn.Dense(5 * 5 * 3, 4, rng, dtype=f64)])
+        x = rng.normal(size=(2, 5, 5, 2))
+        t = rng.normal(size=(2, 4))
+    elif kind == "conv_stride2":
+        model = nn.Sequential([nn.Conv2d(2, 3, rng, stride=2, dtype=f64), nn.Flatten(),
+                               nn.Dense(3 * 3 * 3, 4, rng, dtype=f64)])
+        x = rng.normal(size=(2, 6, 6, 2))
+        t = rng.normal(size=(2, 4))
+    elif kind == "upsample":
+        model = nn.Sequential([nn.Dense(6, 2 * 2 * 2, rng, dtype=f64), nn.Reshape(2, 2, 2),
+                               nn.Upsample2x(), nn.Conv2d(2, 2, rng, stride=1, dtype=f64)])
+        x = rng.normal(size=(3, 6))
+        t = rng.normal(size=(3, 4, 4, 2))
+    elif kind == "autoencoder":
+        model = Autoencoder(1, 8, 3, rng, dtype=f64)
+        x = t = rng.normal(size=(2, 8, 8, 1))
     else:
         raise ValueError(f"unknown gradcheck kind {kind!r}")
 
-    params = nn.Sequential(layers).named_params("net")
-    return GradCheckResult(kind, _check_net(layers, x, t, params))
+    def loss_fn():
+        loss, _ = nn.loss_mse(model.forward(x), t)
+        return loss
+
+    err = _check_grads(model.named_params(), loss_fn,
+                       lambda: model.backward(nn.loss_mse(model.forward(x), t)[1]))
+    return GradCheckResult(kind, err)
 
 
 GRADCHECK_KINDS = ("mse", "dense", "conv", "conv_stride2", "upsample", "lstm", "autoencoder")

@@ -197,3 +197,34 @@ def test_train_missing_autoencoder_errors(mini_pipeline, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "norm_stats.json" in err or "missing" in err
+
+
+def test_inspect_manifest_without_dims_one_line_error(mini_pipeline, tmp_path, capsys):
+    _, data, _ = mini_pipeline
+    broken = tmp_path / "data"
+    (broken / "ep_00000").mkdir(parents=True)
+    for name in ("manifest.json", "steps.bin"):
+        (broken / "ep_00000" / name).write_bytes((data / "ep_00000" / name).read_bytes())
+    mpath = broken / "ep_00000" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    del manifest["dims"]
+    mpath.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["inspect", str(broken)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "lacks key 'dims'" in err[0] and str(mpath) in err[0]
+
+
+def test_eval_truncated_model_one_line_error(mini_pipeline, tmp_path, capsys):
+    _, data, models = mini_pipeline
+    broken = tmp_path / "models"
+    broken.mkdir()
+    for src in models.iterdir():
+        if src.is_file():
+            (broken / src.name).write_bytes(src.read_bytes())
+    (broken / "predictor.sklm").write_bytes((models / "predictor.sklm").read_bytes()[:18])
+    capsys.readouterr()
+    assert main(["eval", "--models", str(broken), "--dataset", str(data),
+                 "--out", str(tmp_path / "eval.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "truncated at offset 18" in err[0] and "predictor.sklm" in err[0]

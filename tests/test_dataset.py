@@ -1,6 +1,7 @@
 """Episode recording, bit-exact persistence, and normalization statistics."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from skillsim.dataset import (
     DatasetError,
     Episode,
     NormStats,
-    Step,
     compute_norm_stats,
     denormalize_state,
     load_dataset,
@@ -25,32 +25,22 @@ from skillsim.scene import make_long_scene, make_short_scene
 def episodes_equal(a, b):
     if (a.variant, a.outcome, a.seed, len(a)) != (b.variant, b.outcome, b.seed, len(b)):
         return False
-    for sa, sb in zip(a.steps, b.steps):
-        if sa.t != sb.t or not np.array_equal(sa.state, sb.state):
-            return False
-        if (sa.base_cmd is None) != (sb.base_cmd is None):
-            return False
-        if sa.base_cmd is not None and not np.array_equal(sa.base_cmd, sb.base_cmd):
-            return False
-        if not np.array_equal(sa.rgb, sb.rgb) or not np.array_equal(sa.disparity, sb.disparity):
-            return False
-    return True
+    if (a.cmds is None) != (b.cmds is None):
+        return False
+    columns = ["states", "rgb", "disparity"] + (["cmds"] if a.cmds is not None else [])
+    return all(getattr(a, c).dtype == getattr(b, c).dtype
+               and np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
 
 
 def synthetic_episode(rng, steps=12, variant="short", h=8, w=8, outcome="DONE", seed=0):
-    scene = make_short_scene(seed)
-    out = []
-    for t in range(steps):
-        out.append(Step(
-            t=t,
-            state=rng.uniform(0, 1, 5).astype(np.float32),
-            base_cmd=(rng.uniform(-1, 1, 2).astype(np.float32)
-                      if variant == "long" else None),
-            rgb=rng.integers(0, 256, (h, w, 3), dtype=np.uint8),
-            disparity=(rng.uniform(0, 8, (h, w)) * (rng.uniform(size=(h, w)) > 0.1)
-                       ).astype(np.float32),
-        ))
-    return Episode(steps=out, variant=variant, scene=scene, outcome=outcome, seed=seed)
+    return Episode(
+        states=rng.uniform(0, 1, (steps, 5)).astype(np.float32),
+        cmds=(rng.uniform(-1, 1, (steps, 2)).astype(np.float32)
+              if variant == "long" else None),
+        rgb=rng.integers(0, 256, (steps, h, w, 3), dtype=np.uint8),
+        disparity=(rng.uniform(0, 8, (steps, h, w))
+                   * (rng.uniform(size=(steps, h, w)) > 0.1)).astype(np.float32),
+        variant=variant, scene=make_short_scene(seed), outcome=outcome, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +54,10 @@ def test_record_short_episode(short_episode):
     ep = short_episode
     assert ep.outcome == "DONE"
     assert ep.variant == "short"
-    assert [s.t for s in ep.steps] == list(range(len(ep)))
-    assert all(s.base_cmd is None for s in ep.steps)
-    assert ep.steps[0].rgb.shape == (64, 64, 3)
-    assert ep.steps[0].state.dtype == np.float32
+    assert ep.cmds is None
+    assert ep.states.shape == (len(ep), 5) and ep.states.dtype == np.float32
+    assert ep.rgb.shape == (len(ep), 64, 64, 3) and ep.rgb.dtype == np.uint8
+    assert ep.disparity.shape == (len(ep), 64, 64) and ep.disparity.dtype == np.float32
 
 
 def test_record_long_episode_carries_commands():
@@ -75,8 +65,8 @@ def test_record_long_episode_carries_commands():
     transcript = run_expert(World(cfg), cfg.target_id, "long")
     ep = record(transcript)
     assert ep.variant == "long"
-    assert all(s.base_cmd is not None and s.base_cmd.shape == (2,) for s in ep.steps)
-    assert any(np.any(s.base_cmd != 0) for s in ep.steps)
+    assert ep.cmds.shape == (len(ep), 2) and ep.cmds.dtype == np.float32
+    assert np.any(ep.cmds != 0)
 
 
 def test_record_failed_run_kept():
@@ -113,6 +103,33 @@ def test_save_load_long_round_trip(tmp_path):
     ep = synthetic_episode(rng, variant="long")
     save_episode(ep, tmp_path / "ep")
     assert episodes_equal(ep, load_episode(tmp_path / "ep"))
+
+
+def test_steps_file_golden_bytes(tmp_path):
+    """steps.bin equals the documented layout packed by hand: magic, u32 count,
+    then per step 5 f32 joints, 2 f32 (v, omega), H x W x 3 u8 RGB, H x W f32
+    disparity, all little-endian."""
+    rng = np.random.default_rng(16)
+    ep = synthetic_episode(rng, steps=2, variant="long", h=2, w=3)
+    save_episode(ep, tmp_path / "ep")
+    expected = b"SKLDSET1" + struct.pack("<I", 2)
+    for t in range(2):
+        expected += struct.pack("<5f", *ep.states[t].tolist())
+        expected += struct.pack("<2f", *ep.cmds[t].tolist())
+        expected += bytes(ep.rgb[t].ravel().tolist())
+        expected += struct.pack("<6f", *ep.disparity[t].ravel().tolist())
+    assert (tmp_path / "ep" / "steps.bin").read_bytes() == expected
+
+
+def test_manifest_missing_key_names_it(tmp_path):
+    rng = np.random.default_rng(17)
+    save_episode(synthetic_episode(rng), tmp_path / "ep")
+    mpath = tmp_path / "ep" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    del manifest["dims"]["width"]
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=r"manifest.json: manifest lacks key dims.'width'"):
+        load_episode(tmp_path / "ep")
 
 
 def test_truncated_steps_file_reports_counts(tmp_path):
@@ -165,15 +182,15 @@ def test_stats_single_step_dataset_flags_all_dims():
     stats = compute_norm_stats([ep])
     assert np.array_equal(stats.state_min, stats.state_max)
     assert np.all(stats.state_flags)
-    x = ep.steps[0].state.astype(float)
+    x = ep.states[0].astype(float)
     assert np.all(normalize_state(x, stats) == 0.5)
 
 
 def test_stats_two_step_min_max():
     rng = np.random.default_rng(8)
     ep = synthetic_episode(rng, steps=2)
-    ep.steps[0].state = np.array([0.0, 0, 0, 0, 0], dtype=np.float32)
-    ep.steps[1].state = np.array([1.0, 0, 0, 0, 0], dtype=np.float32)
+    ep.states[0] = [0.0, 0, 0, 0, 0]
+    ep.states[1] = [1.0, 0, 0, 0, 0]
     stats = compute_norm_stats([ep])
     assert stats.state_min[0] == 0.0
     assert stats.state_max[0] == 1.0
@@ -183,9 +200,9 @@ def test_stats_two_step_min_max():
 
 def naive_stats_oracle(episodes):
     """Full-materialization reference for the streaming statistics."""
-    states = np.concatenate([np.stack([s.state for s in e.steps]) for e in episodes])
-    rgb = np.concatenate([np.stack([s.rgb for s in e.steps]) for e in episodes])
-    disp = np.concatenate([np.stack([s.disparity for s in e.steps]) for e in episodes])
+    states = np.concatenate([e.states for e in episodes])
+    rgb = np.concatenate([e.rgb for e in episodes])
+    disp = np.concatenate([e.disparity for e in episodes])
     img = rgb.astype(np.float64) / 255.0
     nz = disp[disp > 0].astype(np.float64)
     return {
@@ -240,7 +257,7 @@ def test_normalized_training_steps_in_unit_interval():
     episodes = [synthetic_episode(rng, steps=25, seed=i) for i in range(3)]
     stats = compute_norm_stats(episodes)
     for ep in episodes:
-        normed = normalize_state(ep.state_matrix.astype(float), stats)
+        normed = normalize_state(ep.states.astype(float), stats)
         assert np.all(normed >= 0.0)
         assert np.all(normed <= 1.0)
 
@@ -251,8 +268,8 @@ def test_normalize_long_variant_with_commands():
                 for i in range(2)]
     stats = compute_norm_stats(episodes)
     assert stats.has_cmd
-    full = np.concatenate([episodes[0].steps[3].state.astype(float),
-                           episodes[0].steps[3].base_cmd.astype(float)])
+    full = np.concatenate([episodes[0].states[3].astype(float),
+                           episodes[0].cmds[3].astype(float)])
     normed = normalize_state(full, stats)
     assert normed.shape == (7,)
     back = denormalize_state(normed, stats)

@@ -25,7 +25,6 @@ def untrained_bundle(d_state=5, seed=0):
         enc_disp=Autoencoder(1, 32, 32, rng=rng),
         predictor=Predictor(32, d_state, 64, rng=rng),
         stats=stats,
-        downscale=2,
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skillsim.dataset import NormStats
 from skillsim.models import (
     Autoencoder,
     ModelError,
@@ -99,4 +100,53 @@ def test_model_trailing_garbage(tmp_path):
     save_model(path, pred)
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(ModelError, match="trailing bytes"):
+        load_model(path)
+
+
+class FrameStub:
+    def __init__(self, width, height):
+        self.rgb = np.zeros((height, width, 3), dtype=np.uint8)
+        self.disparity = np.zeros((height, width), dtype=np.float32)
+
+
+def small_bundle(rgb_hw=16, disp_hw=16, d_state=5):
+    rng = np.random.default_rng(7)
+    stats = NormStats(
+        state_min=np.zeros(5), state_max=np.ones(5), state_flags=np.zeros(5, bool),
+        cmd_min=None, cmd_max=None, cmd_flags=None,
+        image_mean=np.full(3, 0.5), image_std=np.full(3, 0.25), disp_mean=4.0, disp_std=2.0,
+    )
+    return PolicyBundle(Autoencoder(3, rgb_hw, 4, rng), Autoencoder(1, disp_hw, 4, rng),
+                        Predictor(4, d_state, 8, rng), stats)
+
+
+def test_bundle_derives_downscale_from_frame_width():
+    bundle = small_bundle()
+    assert bundle.encode_frame(FrameStub(32, 32)).shape == (8,)
+    assert bundle.encode_frame(FrameStub(64, 64)).shape == (8,)
+
+
+def test_bundle_wrong_camera_width_raises():
+    with pytest.raises(ModelError, match="frame width 40 is not a multiple of encoder input size 16"):
+        small_bundle().encode_frame(FrameStub(40, 40))
+
+
+def test_bundle_encoder_size_mismatch_raises():
+    with pytest.raises(ModelError, match="RGB encoder input 16 differs from disparity encoder input 8"):
+        small_bundle(disp_hw=8).encode_frame(FrameStub(32, 32))
+
+
+def test_bundle_variant_from_state_dimension():
+    assert small_bundle(d_state=5).variant == "short"
+    assert small_bundle(d_state=7).variant == "long"
+    with pytest.raises(ModelError, match="state dimension 6"):
+        small_bundle(d_state=6).variant
+
+
+def test_model_truncated_reports_offset(tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "p.sklm"
+    save_model(path, Predictor(latent=2, d_state=5, hidden=4, rng=rng))
+    path.write_bytes(path.read_bytes()[:18])
+    with pytest.raises(ModelError, match=r"p.sklm: truncated at offset 18"):
         load_model(path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skillsim.dataset import Episode, Step, compute_norm_stats, normalize_state
+from skillsim.dataset import Episode, compute_norm_stats, normalize_state
 from skillsim.models import (
     PolicyBundle,
     predict_next,
@@ -27,24 +27,21 @@ def make_episode(rng, steps, variant="short", constant=False, seed=0, h=16, w=16
     a smooth disparity ramp whose scale varies per step."""
     ramp = np.linspace(1.0, 4.0, h)[:, None] * np.ones((1, w))
     color = rng.uniform(0.2, 0.8, 3)
-    out = []
+    states, cmds, rgb, disparity = [], [], [], []
     state = rng.uniform(0.2, 0.8, 5)
-    for t in range(steps):
+    for _ in range(steps):
         if not constant:
             state = np.clip(state + rng.normal(0, 0.02, 5), 0, 1)
             color = np.clip(color + rng.normal(0, 0.03, 3), 0, 1)
-        rgb = np.rint(np.ones((h, w, 3)) * color * 255).astype(np.uint8)
+        rgb.append(np.rint(np.ones((h, w, 3)) * color * 255).astype(np.uint8))
         scale = 1.0 if constant else float(rng.uniform(0.8, 1.2))
-        out.append(Step(
-            t=t,
-            state=state.astype(np.float32),
-            base_cmd=(rng.uniform(-0.5, 0.5, 2).astype(np.float32)
-                      if variant == "long" else None),
-            rgb=rgb,
-            disparity=(ramp * scale).astype(np.float32),
-        ))
-    return Episode(steps=out, variant=variant, scene=make_short_scene(seed),
-                   outcome="DONE", seed=seed)
+        states.append(state.astype(np.float32))
+        if variant == "long":
+            cmds.append(rng.uniform(-0.5, 0.5, 2).astype(np.float32))
+        disparity.append((ramp * scale).astype(np.float32))
+    return Episode(states=np.stack(states), cmds=np.stack(cmds) if cmds else None,
+                   rgb=np.stack(rgb), disparity=np.stack(disparity), variant=variant,
+                   scene=make_short_scene(seed), outcome="DONE", seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +141,10 @@ def test_predict_next_matches_training_forward(tiny_corpus):
 
     ep = tiny_corpus[0]
     # batched forward over the whole episode
-    rgb = np.stack([standardize_rgb(s.rgb, stats, cfg.downscale) for s in ep.steps])
-    disp = np.stack([standardize_disparity(s.disparity, stats, cfg.downscale)
-                     for s in ep.steps])
+    rgb = standardize_rgb(ep.rgb, stats, cfg.downscale)
+    disp = standardize_disparity(ep.disparity, stats, cfg.downscale)
     z = np.concatenate([enc_rgb.encode(rgb), enc_disp.encode(disp)], axis=1)
-    states = normalize_state(ep.state_matrix.astype(float), stats).astype(np.float32)
+    states = normalize_state(ep.states.astype(float), stats).astype(np.float32)
     x_seq = np.concatenate([z, states], axis=1).astype(np.float32)
     h, c = predictor.zero_state(1)
     batched = []
@@ -158,14 +154,15 @@ def test_predict_next_matches_training_forward(tiny_corpus):
 
     # step-by-step path through predict_next
     class FrameStub:
-        def __init__(self, step):
-            self.rgb = step.rgb
-            self.disparity = step.disparity
+        def __init__(self, rgb, disparity):
+            self.rgb = rgb
+            self.disparity = disparity
 
-    bundle = PolicyBundle(enc_rgb, enc_disp, predictor, stats, cfg.downscale)
+    bundle = PolicyBundle(enc_rgb, enc_disp, predictor, stats)
     hidden = predictor.zero_state(1)
-    for t, step in enumerate(ep.steps):
-        y, hidden = predict_next(bundle, FrameStub(step), states[t], hidden)
+    for t in range(len(ep)):
+        frame = FrameStub(ep.rgb[t], ep.disparity[t])
+        y, hidden = predict_next(bundle, frame, states[t], hidden)
         assert np.max(np.abs(y - batched[t])) < 1e-6
 
 
