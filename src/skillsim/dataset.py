@@ -151,6 +151,11 @@ def load_episode(dirpath) -> Episode:
     if count != n:
         raise DatasetError(f"{spath}: step count {count} does not match manifest {n}")
 
+    scene = _key(manifest, "scene", mpath)
+    try:
+        scene = config_from_dict(scene)
+    except ValueError as exc:
+        raise DatasetError(f"{mpath}: {exc}") from None
     records = np.frombuffer(blob, dtype, count=n, offset=12)
     return Episode(
         states=records["state"].copy(),
@@ -158,7 +163,7 @@ def load_episode(dirpath) -> Episode:
         rgb=records["rgb"].copy(),
         disparity=records["disparity"].copy(),
         variant=_key(manifest, "variant", mpath),
-        scene=config_from_dict(_key(manifest, "scene", mpath)),
+        scene=scene,
         outcome=_key(manifest, "outcome", mpath),
         seed=int(_key(manifest, "seed", mpath)),
     )

@@ -111,10 +111,7 @@ def plan_arm(q_start: np.ndarray, q_goal: np.ndarray, world: World) -> ArmPlan:
     fractions = np.linspace(0.0, 1.0, steps + 1)
     waypoints = q_start[None, :] + fractions[:, None] * (q_goal - q_start)[None, :]
 
-    cfg = world.config
-    table_half = cfg.table_size / 2.0
-    table_lo = cfg.table_center - table_half
-    table_hi = cfg.table_center + table_half
+    (table_lo, table_hi), *obstacles = world.config.solid_boxes()
     base = world.state.base
     for q in waypoints:
         check_pts = kinematics.arm_points(q, base)[1:]  # elbow, wrist, tip
@@ -123,10 +120,8 @@ def plan_arm(q_start: np.ndarray, q_goal: np.ndarray, world: World) -> ArmPlan:
                 (p >= table_lo - ARM_CLEARANCE) & (p <= table_hi + ARM_CLEARANCE)
             ):
                 raise ArmPlanError("arm plan in collision")
-            for box in cfg.obstacle_boxes:
-                lo = box.center - box.half_extents - ARM_CLEARANCE
-                hi = box.center + box.half_extents + ARM_CLEARANCE
-                if np.all((p >= lo) & (p <= hi)):
+            for lo, hi in obstacles:
+                if np.all((p >= lo - ARM_CLEARANCE) & (p <= hi + ARM_CLEARANCE)):
                     raise ArmPlanError("arm plan in collision")
     return ArmPlan(waypoints)
 

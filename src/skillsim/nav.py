@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import BASE_HEIGHT, ROBOT_RADIUS, BaseCommand, WorldConfig, wrap_angle
+from .sim import ROBOT_RADIUS, BaseCommand, WorldConfig, in_base_slab, wrap_angle
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -49,12 +49,7 @@ class OccupancyGrid:
         z-extent intersects the base slab [0, BASE_HEIGHT]. The grid covers
         the scene extents (robot start included) plus `margin` on every side.
         """
-        boxes = []
-        half = config.table_size / 2.0
-        boxes.append((config.table_center - half, config.table_center + half))
-        for box in config.obstacle_boxes:
-            boxes.append((box.center - box.half_extents, box.center + box.half_extents))
-
+        boxes = config.solid_boxes()
         anchors = [config.robot_start[:2]] + [o.center[:2] for o in config.objects]
         anchors += [lo[:2] for lo, _ in boxes] + [hi[:2] for _, hi in boxes]
         pts = np.array(anchors)
@@ -65,7 +60,7 @@ class OccupancyGrid:
         cells = np.zeros((nx, ny), dtype=bool)
 
         for lo, hi in boxes:
-            if hi[2] <= 0.0 or lo[2] >= BASE_HEIGHT:
+            if not in_base_slab(lo, hi):
                 continue
             i0 = int(np.floor((lo[0] - lo_w[0]) / resolution))
             i1 = int(np.ceil((hi[0] - lo_w[0]) / resolution))

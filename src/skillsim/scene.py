@@ -3,11 +3,12 @@
 Two seeded scene families mirror the two collection settings: "short"
 scenes start the robot within arm's reach facing the target; "long" scenes
 start it a few meters out with an obstacle between, so it has to navigate.
-Scene files are flat `key = value` text mirroring WorldConfig.
+Scene files are flat `key = value` text: config_to_dict's nesting, flattened.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -82,7 +83,7 @@ def make_short_scene(
 
 def make_long_scene(
     seed: int,
-    distractors: int = 1,
+    distractors: int = 2,
     object_half_extent: float = 0.05,
     depth_noise_sigma: float = 0.002,
     start_distance: tuple = (2.7, 3.3),
@@ -146,6 +147,16 @@ def make_scene(seed: int, variant: str, **kwargs) -> WorldConfig:
 
 # ----------------------------------------------------------------------
 # dict and text serialization
+#
+# config_to_dict is the one encoder and config_from_dict the one decoder. A
+# scene file is that dict flattened to `key = value` lines: the keys in
+# _TEXT_KEYS are renamed, and the camera, the objects and the obstacle boxes
+# become `camera.<field>`, `object.<id>.<attr>` and `obstacle.<i>.<attr>`.
+
+_TEXT_KEYS = {"table_center": "table.center", "table_size": "table.size",
+              "robot_start": "robot.start", "robot_joints": "robot.joints",
+              "target_id": "target"}
+_DICT_KEYS = {text: key for key, text in _TEXT_KEYS.items()}
 
 
 def config_to_dict(config: WorldConfig) -> dict:
@@ -155,14 +166,7 @@ def config_to_dict(config: WorldConfig) -> dict:
         "depth_noise_sigma": config.depth_noise_sigma,
         "table_center": config.table_center.tolist(),
         "table_size": config.table_size.tolist(),
-        "camera": {
-            "width": config.camera.width,
-            "height": config.camera.height,
-            "focal_px": config.camera.focal_px,
-            "baseline_m": config.camera.baseline_m,
-            "height_m": config.camera.height_m,
-            "pitch_rad": config.camera.pitch_rad,
-        },
+        "camera": asdict(config.camera),
         "robot_start": config.robot_start.tolist(),
         "robot_joints": config.robot_joints.tolist(),
         "target_id": config.target_id,
@@ -178,36 +182,71 @@ def config_to_dict(config: WorldConfig) -> dict:
     }
 
 
+def _vec(value) -> np.ndarray:
+    return np.array([float(v) for v in (value.split() if isinstance(value, str) else value)])
+
+
+def _reader(mapping, names, prefix: str):
+    """A function reading one key of `mapping`, which may hold only `names`.
+
+    Errors name a key as a scene file spells it: `prefix` + its text key.
+    """
+    if not isinstance(mapping, dict):
+        raise ValueError(f"scene: {prefix[:-1] or 'scene'!r} is not a mapping")
+    unknown = sorted(prefix + _TEXT_KEYS.get(k, k) for k in set(mapping) - set(names))
+    if unknown:
+        raise ValueError(f"scene: unknown keys {unknown}")
+
+    def read(key, convert=lambda v: v, default=...):
+        name = prefix + _TEXT_KEYS.get(key, key)
+        if key not in mapping:
+            if default is ...:
+                raise ValueError(f"scene: missing key {name!r}")
+            return default
+        try:
+            return convert(mapping[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"scene: bad value for {name!r}: {exc}") from None
+
+    return read
+
+
 def config_from_dict(d: dict) -> WorldConfig:
-    cam = d["camera"]
+    """Decode config_to_dict's output; any leaf may also be its scene-file text.
+
+    A missing, unknown or unreadable key raises ValueError naming it in
+    scene-file spelling (`table.center`, `object.box0.color`).
+    """
+    read = _reader(d, [f.name for f in fields(WorldConfig)], "")
+    cam_fields = fields(CameraIntrinsics)
+    cam = _reader(read("camera"), [f.name for f in cam_fields], "camera.")
+    objects = []
+    for i, o in enumerate(read("objects", list)):
+        name = o.get("id", i) if isinstance(o, dict) else i
+        obj = _reader(o, ("id", "center", "half_extents", "color"), f"object.{name}.")
+        objects.append(ObjectSpec(obj("id", str), obj("center", _vec),
+                                  obj("half_extents", _vec), obj("color", _vec)))
+    boxes = []
+    for i, b in enumerate(read("obstacle_boxes", list)):
+        box = _reader(b, ("center", "half_extents"), f"obstacle.{i}.")
+        boxes.append(Box(box("center", _vec), box("half_extents", _vec)))
     return WorldConfig(
-        table_center=np.array(d["table_center"]),
-        table_size=np.array(d["table_size"]),
-        objects=[
-            ObjectSpec(o["id"], np.array(o["center"]), np.array(o["half_extents"]),
-                       np.array(o["color"]))
-            for o in d["objects"]
-        ],
-        obstacle_boxes=[
-            Box(np.array(b["center"]), np.array(b["half_extents"]))
-            for b in d["obstacle_boxes"]
-        ],
-        camera=CameraIntrinsics(
-            width=int(cam["width"]), height=int(cam["height"]),
-            focal_px=float(cam["focal_px"]), baseline_m=float(cam["baseline_m"]),
-            height_m=float(cam["height_m"]), pitch_rad=float(cam["pitch_rad"]),
-        ),
-        rng_seed=int(d["rng_seed"]),
-        dt=float(d["dt"]),
-        depth_noise_sigma=float(d["depth_noise_sigma"]),
-        robot_start=np.array(d["robot_start"]),
-        robot_joints=np.array(d["robot_joints"]),
-        target_id=d["target_id"],
+        table_center=read("table_center", _vec),
+        table_size=read("table_size", _vec),
+        objects=objects,
+        obstacle_boxes=boxes,
+        camera=CameraIntrinsics(**{f.name: cam(f.name, type(f.default)) for f in cam_fields}),
+        rng_seed=read("rng_seed", int),
+        dt=read("dt", float),
+        depth_noise_sigma=read("depth_noise_sigma", float),
+        robot_start=read("robot_start", _vec),
+        robot_joints=read("robot_joints", _vec),
+        target_id=read("target_id", lambda v: None if v is None else str(v), None),
     )
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, list):
         return " ".join(repr(float(v)) for v in value)
     if isinstance(value, float):
         return repr(value)
@@ -215,37 +254,26 @@ def _fmt(value) -> str:
 
 
 def config_to_text(config: WorldConfig) -> str:
+    """config_to_dict flattened to `key = value` lines; a None target is left out."""
     lines = ["# skillsim scene"]
-    lines.append(f"dt = {_fmt(config.dt)}")
-    lines.append(f"rng_seed = {int(config.rng_seed)}")
-    lines.append(f"depth_noise_sigma = {_fmt(config.depth_noise_sigma)}")
-    lines.append(f"table.center = {_fmt(config.table_center)}")
-    lines.append(f"table.size = {_fmt(config.table_size)}")
-    cam = config.camera
-    lines.append(f"camera.width = {cam.width}")
-    lines.append(f"camera.height = {cam.height}")
-    lines.append(f"camera.focal_px = {_fmt(cam.focal_px)}")
-    lines.append(f"camera.baseline_m = {_fmt(cam.baseline_m)}")
-    lines.append(f"camera.height_m = {_fmt(cam.height_m)}")
-    lines.append(f"camera.pitch_rad = {_fmt(cam.pitch_rad)}")
-    lines.append(f"robot.start = {_fmt(config.robot_start)}")
-    lines.append(f"robot.joints = {_fmt(config.robot_joints)}")
-    if config.target_id is not None:
-        lines.append(f"target = {config.target_id}")
-    for o in config.objects:
-        lines.append(f"object.{o.id}.center = {_fmt(o.center)}")
-        lines.append(f"object.{o.id}.half_extents = {_fmt(o.half_extents)}")
-        lines.append(f"object.{o.id}.color = {_fmt(o.color)}")
-    for i, b in enumerate(config.obstacle_boxes):
-        lines.append(f"obstacle.{i}.center = {_fmt(b.center)}")
-        lines.append(f"obstacle.{i}.half_extents = {_fmt(b.half_extents)}")
+    for key, value in config_to_dict(config).items():
+        if key == "camera":
+            lines += [f"camera.{k} = {_fmt(v)}" for k, v in value.items()]
+        elif key == "objects":
+            lines += [f"object.{o['id']}.{k} = {_fmt(v)}"
+                      for o in value for k, v in o.items() if k != "id"]
+        elif key == "obstacle_boxes":
+            lines += [f"obstacle.{i}.{k} = {_fmt(v)}"
+                      for i, b in enumerate(value) for k, v in b.items()]
+        elif value is not None:
+            lines.append(f"{_TEXT_KEYS.get(key, key)} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str) -> WorldConfig:
-    scalars: dict[str, str] = {}
-    objects: dict[str, dict] = {}
-    obstacles: dict[int, dict] = {}
+    """Nest the `key = value` lines back into config_to_dict's shape, then decode."""
+    d: dict = {"camera": {}}
+    groups: dict = {"object": {}, "obstacle": {}}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -253,57 +281,20 @@ def config_from_text(text: str) -> WorldConfig:
         if "=" not in line:
             raise ValueError(f"scene line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("object."):
-            _, obj_id, attr = key.split(".", 2)
-            objects.setdefault(obj_id, {})[attr] = value
-        elif key.startswith("obstacle."):
-            _, idx, attr = key.split(".", 2)
-            obstacles.setdefault(int(idx), {})[attr] = value
+        head, _, rest = key.partition(".")
+        name, _, attr = rest.partition(".")
+        if head == "camera" and rest:
+            d["camera"][rest] = value
+        elif head in groups and attr not in ("", "id") and (head == "object" or name.isdigit()):
+            groups[head].setdefault(name, {})[attr] = value
+        elif key in _TEXT_KEYS or key in ("camera", "objects", "obstacle_boxes"):
+            # manifest spellings, never a scene-file key
+            raise ValueError(f"scene: unknown keys {[key]}")
         else:
-            scalars[key] = value
-
-    def vec(s: str) -> np.ndarray:
-        return np.array([float(v) for v in s.split()])
-
-    known = {
-        "dt", "rng_seed", "depth_noise_sigma", "table.center", "table.size",
-        "camera.width", "camera.height", "camera.focal_px", "camera.baseline_m",
-        "camera.height_m", "camera.pitch_rad", "robot.start", "robot.joints", "target",
-    }
-    unknown = set(scalars) - known
-    if unknown:
-        raise ValueError(f"scene: unknown keys {sorted(unknown)}")
-
-    obj_specs = []
-    for obj_id, attrs in objects.items():
-        missing = {"center", "half_extents", "color"} - set(attrs)
-        if missing:
-            raise ValueError(f"scene object {obj_id!r}: missing {sorted(missing)}")
-        obj_specs.append(ObjectSpec(obj_id, vec(attrs["center"]),
-                                    vec(attrs["half_extents"]), vec(attrs["color"])))
-    boxes = [Box(vec(obstacles[i]["center"]), vec(obstacles[i]["half_extents"]))
-             for i in sorted(obstacles)]
-
-    return WorldConfig(
-        table_center=vec(scalars["table.center"]),
-        table_size=vec(scalars["table.size"]),
-        objects=obj_specs,
-        obstacle_boxes=boxes,
-        camera=CameraIntrinsics(
-            width=int(scalars["camera.width"]),
-            height=int(scalars["camera.height"]),
-            focal_px=float(scalars["camera.focal_px"]),
-            baseline_m=float(scalars["camera.baseline_m"]),
-            height_m=float(scalars["camera.height_m"]),
-            pitch_rad=float(scalars["camera.pitch_rad"]),
-        ),
-        rng_seed=int(scalars["rng_seed"]),
-        dt=float(scalars["dt"]),
-        depth_noise_sigma=float(scalars["depth_noise_sigma"]),
-        robot_start=vec(scalars["robot.start"]),
-        robot_joints=vec(scalars["robot.joints"]),
-        target_id=scalars.get("target"),
-    )
+            d[_DICT_KEYS.get(key, key)] = value
+    d["objects"] = [{"id": oid, **attrs} for oid, attrs in groups["object"].items()]
+    d["obstacle_boxes"] = [groups["obstacle"][i] for i in sorted(groups["obstacle"], key=int)]
+    return config_from_dict(d)
 
 
 def save_scene(path, config: WorldConfig) -> None:
@@ -311,6 +302,9 @@ def save_scene(path, config: WorldConfig) -> None:
 
 
 def load_scene(path) -> WorldConfig:
-    config = config_from_text(FsPath(path).read_text())
-    config.validate()
+    try:
+        config = config_from_text(FsPath(path).read_text())
+        config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return config

@@ -157,6 +157,14 @@ class WorldConfig:
             raise ValueError(f"target object {self.target_id!r} not in scene")
         self.camera.validate()
 
+    def solid_boxes(self) -> list:
+        """(lo, hi) corners of the table, then of each obstacle box."""
+        half = self.table_size / 2.0
+        return [(self.table_center - half, self.table_center + half)] + [
+            (box.center - box.half_extents, box.center + box.half_extents)
+            for box in self.obstacle_boxes
+        ]
+
     def object(self, object_id: str) -> ObjectSpec:
         for obj in self.objects:
             if obj.id == object_id:
@@ -189,6 +197,11 @@ def wrap_angle(a: float) -> float:
     elif a <= -np.pi:
         a += 2.0 * np.pi
     return a
+
+
+def in_base_slab(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """True when a box's z-extent meets the slab [0, BASE_HEIGHT] the base moves in."""
+    return not (hi[2] <= 0.0 or lo[2] >= BASE_HEIGHT)
 
 
 def _ray_aabb(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -276,19 +289,13 @@ class World:
     def _base_collides(self, x: float, y: float) -> bool:
         """Disc-vs-box test against the table and obstacle boxes."""
         p = np.array([x, y])
-        for lo, hi in self._solid_boxes():
-            if hi[2] <= 0.0 or lo[2] >= BASE_HEIGHT:
+        for lo, hi in self.config.solid_boxes():
+            if not in_base_slab(lo, hi):
                 continue
             closest = np.clip(p, lo[:2], hi[:2])
             if np.hypot(*(p - closest)) < ROBOT_RADIUS:
                 return True
         return False
-
-    def _solid_boxes(self):
-        half = self.config.table_size / 2.0
-        yield self.config.table_center - half, self.config.table_center + half
-        for box in self.config.obstacle_boxes:
-            yield box.center - box.half_extents, box.center + box.half_extents
 
     # ------------------------------------------------------------------
     # predicates
@@ -335,19 +342,15 @@ class World:
         return origin, np.stack([right, down, optical], axis=1)
 
     def _render_boxes(self):
-        boxes = [(_FLOOR_LO, _FLOOR_HI, np.array(FLOOR_COLOR), HIT_FLOOR)]
-        half = self.config.table_size / 2.0
-        boxes.append(
-            (self.config.table_center - half, self.config.table_center + half,
-             np.array(TABLE_COLOR), HIT_TABLE)
-        )
+        (table_lo, table_hi), *obstacles = self.config.solid_boxes()
+        boxes = [(_FLOOR_LO, _FLOOR_HI, np.array(FLOOR_COLOR), HIT_FLOOR),
+                 (table_lo, table_hi, np.array(TABLE_COLOR), HIT_TABLE)]
         for i, obj in enumerate(self.config.objects):
             c = self.object_centers[obj.id]
             boxes.append((c - obj.half_extents, c + obj.half_extents, obj.color,
                           HIT_OBJECT_BASE + i))
-        for i, box in enumerate(self.config.obstacle_boxes):
-            boxes.append((box.center - box.half_extents, box.center + box.half_extents,
-                          np.array(OBSTACLE_COLOR), HIT_OBSTACLE_BASE + i))
+        for i, (lo, hi) in enumerate(obstacles):
+            boxes.append((lo, hi, np.array(OBSTACLE_COLOR), HIT_OBSTACLE_BASE + i))
         return boxes
 
     def hit_id(self, object_id: str) -> int:

@@ -8,7 +8,7 @@ import pytest
 
 from skillsim.cli import main
 from skillsim.imaging import read_pgm16, read_ppm
-from skillsim.scene import make_short_scene, save_scene
+from skillsim.scene import config_to_text, make_long_scene, make_short_scene, save_scene
 
 
 def tree_bytes(root):
@@ -228,3 +228,48 @@ def test_eval_truncated_model_one_line_error(mini_pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "eval.csv")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "truncated at offset 18" in err[0] and "predictor.sklm" in err[0]
+
+
+def one_line_error(capsys, argv, path):
+    """Run the CLI, expecting exit 1 and one stderr line that names `path`."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(path) in err[0], err
+    return err[0]
+
+
+def write_scene_without(path, config, prefix):
+    lines = config_to_text(config).splitlines(True)
+    path.write_text("".join(l for l in lines if not l.startswith(prefix)))
+
+
+def test_render_scene_without_table_center_one_line_error(tmp_path, capsys):
+    path = tmp_path / "scene.txt"
+    write_scene_without(path, make_short_scene(4), "table.center")
+    err = one_line_error(capsys, ["render", "--scene", str(path),
+                                  "--out", str(tmp_path / "frame")], path)
+    assert "missing key 'table.center'" in err
+
+
+def test_eval_scene_obstacle_without_extents_one_line_error(mini_pipeline, tmp_path, capsys):
+    _, _, models = mini_pipeline
+    path = tmp_path / "scene.txt"
+    write_scene_without(path, make_long_scene(0), "obstacle.0.half_extents")
+    err = one_line_error(capsys, ["eval", "--models", str(models), "--scene", str(path),
+                                  "--out", str(tmp_path / "eval.csv")], path)
+    assert "missing key 'obstacle.0.half_extents'" in err
+
+
+def test_inspect_manifest_scene_without_camera_one_line_error(mini_pipeline, tmp_path, capsys):
+    _, data, _ = mini_pipeline
+    broken = tmp_path / "data" / "ep_00000"
+    broken.mkdir(parents=True)
+    for name in ("manifest.json", "steps.bin"):
+        (broken / name).write_bytes((data / "ep_00000" / name).read_bytes())
+    mpath = broken / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    del manifest["scene"]["camera"]
+    mpath.write_text(json.dumps(manifest))
+    err = one_line_error(capsys, ["inspect", str(tmp_path / "data")], mpath)
+    assert "missing key 'camera'" in err

@@ -19,7 +19,7 @@ from skillsim.dataset import (
     record,
     save_episode,
 )
-from skillsim.scene import make_long_scene, make_short_scene
+from skillsim.scene import config_from_dict, config_to_dict, make_long_scene, make_short_scene
 
 
 def episodes_equal(a, b):
@@ -130,6 +130,18 @@ def test_manifest_missing_key_names_it(tmp_path):
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(DatasetError, match=r"manifest.json: manifest lacks key dims.'width'"):
         load_episode(tmp_path / "ep")
+
+
+def test_manifest_scene_round_trips_through_the_codec(tmp_path, short_episode):
+    """Decoding and re-encoding the scene snapshot reproduces the manifest text."""
+    long_ep = synthetic_episode(np.random.default_rng(5), variant="long")
+    long_ep.scene = make_long_scene(0)
+    for name, ep in (("short", short_episode), ("long", long_ep)):
+        save_episode(ep, tmp_path / name)
+        text = (tmp_path / name / "manifest.json").read_text()
+        manifest = json.loads(text)
+        manifest["scene"] = config_to_dict(config_from_dict(manifest["scene"]))
+        assert json.dumps(manifest, sort_keys=True, indent=1) == text
 
 
 def test_truncated_steps_file_reports_counts(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skillsim.config import load_run_config
 from skillsim.scene import (
     PALETTE,
     config_from_text,
@@ -85,18 +86,78 @@ def test_scene_text_round_trip(tmp_path):
     assert config_to_text(back) == config_to_text(cfg)
 
 
+def test_scene_defaults_match_run_config():
+    """The scene makers' defaults are the registry's: the API and the CLI build one scene."""
+    kwargs = load_run_config().scene_kwargs
+    for variant in ("short", "long"):
+        assert config_to_text(make_scene(3, variant)) == \
+            config_to_text(make_scene(3, variant, **kwargs(variant)))
+
+
+GOLDEN_LONG_SCENE = """\
+# skillsim scene
+dt = 0.1
+rng_seed = 0
+depth_noise_sigma = 0.002
+table.center = 1.2 0.0 0.2
+table.size = 0.6 1.2 0.4
+camera.width = 64
+camera.height = 64
+camera.focal_px = 60.0
+camera.baseline_m = 0.08
+camera.height_m = 1.1
+camera.pitch_rad = 0.6
+robot.start = -2.0850093743518716 -0.9096884096284152 0.17024185960954785
+robot.joints = 0.0 0.9 -1.4 0.0 1.0
+target = box0
+object.box0.center = 1.0241928879853226 0.024205530272281672 0.45
+object.box0.half_extents = 0.05 0.05 0.05
+object.box0.color = 0.85 0.1 0.1
+object.box1.center = 1.26643646067426 -0.25640610000682457 0.45
+object.box1.half_extents = 0.05 0.05 0.05
+object.box1.color = 0.1 0.75 0.15
+object.box2.center = 1.2391859890447823 -0.30232336122989617 0.45
+object.box2.half_extents = 0.05 0.05 0.05
+object.box2.color = 0.15 0.2 0.85
+obstacle.0.center = -1.1541590804599995 -0.4897677111646995 0.25
+obstacle.0.half_extents = 0.18 0.18 0.25
+obstacle.1.center = -0.4224315478306616 -0.5540633219420152 0.25
+obstacle.1.half_extents = 0.18 0.18 0.25
+"""
+
+
+def test_scene_file_golden_text(tmp_path):
+    path = tmp_path / "scene.txt"
+    save_scene(path, make_long_scene(0, distractors=2))
+    assert path.read_text() == GOLDEN_LONG_SCENE
+    assert config_to_text(load_scene(path)) == GOLDEN_LONG_SCENE
+
+
+def without(text, prefix):
+    return "".join(l for l in text.splitlines(True) if not l.startswith(prefix))
+
+
 def test_scene_text_unknown_key_rejected():
-    text = config_to_text(make_short_scene(0)) + "bogus.key = 1\n"
-    with pytest.raises(ValueError, match="unknown keys"):
-        config_from_text(text)
+    for extra in ("bogus.key = 1",
+                  "object.box0.colour = 0.1 0.2 0.3",   # next to a valid color line
+                  "camera.focal = 60.0",
+                  "obstacle.0.radius = 0.2",
+                  "table_center = 1.2 0.0 0.2"):        # the manifest spelling
+        with pytest.raises(ValueError, match="unknown keys"):
+            config_from_text(GOLDEN_LONG_SCENE + extra + "\n")
 
 
 def test_scene_text_missing_object_field():
-    cfg = make_short_scene(0)
-    lines = [l for l in config_to_text(cfg).splitlines()
-             if not l.startswith("object.box0.color")]
-    with pytest.raises(ValueError, match="missing"):
-        config_from_text("\n".join(lines))
+    for key in ("object.box0.color", "obstacle.0.half_extents", "table.center",
+                "camera.focal_px", "robot.joints"):
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            config_from_text(without(GOLDEN_LONG_SCENE, key + " "))
+
+
+def test_scene_text_bad_value_named():
+    text = GOLDEN_LONG_SCENE.replace("dt = 0.1", "dt = fast")
+    with pytest.raises(ValueError, match="bad value for 'dt'"):
+        config_from_text(text)
 
 
 def test_scene_text_bad_line():
