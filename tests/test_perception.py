@@ -13,8 +13,8 @@ from skillsim import (
     statistical_outlier_removal,
     voxel_grid_filter,
 )
-from skillsim.perception import load_cloud, save_cloud
-from skillsim.scene import make_short_scene
+from skillsim.perception import _knn_mean_distances, load_cloud, save_cloud
+from skillsim.scene import make_scene, make_short_scene
 
 
 def random_cloud(rng, n, scale=1.0):
@@ -154,6 +154,38 @@ def test_sor_matches_oracle_on_random_clouds():
         out = statistical_outlier_removal(cloud, k, alpha)
         keep = sor_oracle(cloud, k, alpha)
         assert np.array_equal(out.positions, cloud.positions[keep])
+
+
+def knn_mean_distances_reference(pos, k, chunk=512):
+    """The (chunk, n, 3) difference-tensor kernel the blocked one replaced, frozen."""
+    n = pos.shape[0]
+    out = np.empty(n)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        diff = pos[lo:hi, None, :] - pos[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        dist[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf
+        part = np.sort(dist, axis=1)[:, :k]
+        out[lo:hi] = part.mean(axis=1)
+    return out
+
+
+def knn_exactness_clouds():
+    rng = np.random.default_rng(1234)
+    for _ in range(100):  # A3.sor's cloud sizes and extent
+        yield rng.uniform(-1, 1, (int(rng.integers(20, 501)), 3))
+    for n in (20, 64, 65, 300):  # many ties and duplicate points
+        yield np.round(rng.uniform(-0.3, 0.3, (n, 3)), 1)
+    for seed in range(4):  # real long-variant start frames, ~4096 points
+        frame = World(make_scene(seed, "long")).render()
+        yield voxel_grid_filter(frame.cloud, 0.01).positions
+
+
+def test_knn_mean_distances_bit_equal_to_reference():
+    for pos in knn_exactness_clouds():
+        for k in (1, 3, 8):
+            assert np.array_equal(_knn_mean_distances(pos, k),
+                                  knn_mean_distances_reference(pos, k))
 
 
 def test_sor_monotone_in_alpha():

@@ -1,11 +1,13 @@
 """World dynamics, predicates, and renderer invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from skillsim import BaseCommand, ObjectSpec, World, WorldConfig
 from skillsim.kinematics import JOINT_HIGH, JOINT_LOW, fk
-from skillsim.scene import make_short_scene
+from skillsim.scene import make_scene, make_short_scene
 
 
 def single_object_config(center, half=0.03, **kwargs):
@@ -239,3 +241,48 @@ def test_config_validation_rejects_close_colors():
             ],
             target_id="a",
         ).validate()
+
+
+# ----------------------------------------------------------------------
+# golden frames
+
+
+GOLDEN_POSES = ((0.0, 0.0, 0.0), (0.3, -0.2, 0.4), (-0.5, 0.4, -0.7))
+
+
+def frame_digest(variant, seed):
+    """sha256 over every array of the frames rendered at GOLDEN_POSES.
+
+    The poses are offsets from the scene's start pose, plus one pose 0.7 m
+    in front of the target; each frame draws fresh depth noise.
+    """
+    cfg = make_scene(seed, variant)
+    world = World(cfg)
+    start = cfg.robot_start
+    target = cfg.object(cfg.target_id).center
+    poses = [start + np.array(p) for p in GOLDEN_POSES]
+    poses.append(np.array([target[0] - 0.7, target[1], 0.0]))
+    h = hashlib.sha256()
+    for pose in poses:
+        world.state.base = pose
+        f = world.render()
+        for a in (f.rgb, f.depth, f.disparity, f.hit_ids, f.cloud.positions, f.cloud.colors):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("variant,seed,digest", [
+    ("short", 0,
+     "ac93b388007eca227905827caa0e18d9b43fb952607dd3fc38574afcced3b7a2"),
+    ("short", 7,
+     "c3dda9d835258c4cc4ab7eb37b53d156940ddfebcedb055964c55202b188fe93"),
+    ("long", 0,
+     "527ae6a35256cc503b72bc1bf397f140fea00f3e3dd35714f775f8e43a070c8b"),
+    ("long", 3,
+     "f3af6df897105cdb0451fcf707fb915fc4c8e771975013663cb2c869307b2cba"),
+])
+def test_render_golden_frames(variant, seed, digest):
+    # Any change to ray casting, noise, disparity or back-projection shows
+    # here; the digests pin the renderer's exact output on numpy 2.4 with
+    # OpenBLAS on x86-64.
+    assert frame_digest(variant, seed) == digest
