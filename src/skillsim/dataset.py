@@ -130,7 +130,10 @@ def load_episode(dirpath) -> Episode:
     mpath = d / "manifest.json"
     if not mpath.exists():
         raise DatasetError(f"{mpath}: missing manifest")
-    manifest = json.loads(mpath.read_text())
+    try:
+        manifest = json.loads(mpath.read_text())
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{mpath}: not valid JSON: {exc}") from None
     if _key(manifest, "schema_version", mpath) != SCHEMA_VERSION:
         raise DatasetError(f"{mpath}: unsupported dataset version "
                            f"{manifest['schema_version']!r}")

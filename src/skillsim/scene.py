@@ -182,8 +182,15 @@ def config_to_dict(config: WorldConfig) -> dict:
     }
 
 
+def _float(value) -> float:
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"{value!r} is not finite")
+    return x
+
+
 def _vec(value) -> np.ndarray:
-    return np.array([float(v) for v in (value.split() if isinstance(value, str) else value)])
+    return np.array([_float(v) for v in (value.split() if isinstance(value, str) else value)])
 
 
 def _reader(mapping, names, prefix: str):
@@ -214,8 +221,8 @@ def _reader(mapping, names, prefix: str):
 def config_from_dict(d: dict) -> WorldConfig:
     """Decode config_to_dict's output; any leaf may also be its scene-file text.
 
-    A missing, unknown or unreadable key raises ValueError naming it in
-    scene-file spelling (`table.center`, `object.box0.color`).
+    A missing, unknown, unreadable or non-finite key raises ValueError naming
+    it in scene-file spelling (`table.center`, `object.box0.color`).
     """
     read = _reader(d, [f.name for f in fields(WorldConfig)], "")
     cam_fields = fields(CameraIntrinsics)
@@ -235,10 +242,12 @@ def config_from_dict(d: dict) -> WorldConfig:
         table_size=read("table_size", _vec),
         objects=objects,
         obstacle_boxes=boxes,
-        camera=CameraIntrinsics(**{f.name: cam(f.name, type(f.default)) for f in cam_fields}),
+        camera=CameraIntrinsics(**{
+            f.name: cam(f.name, _float if isinstance(f.default, float) else type(f.default))
+            for f in cam_fields}),
         rng_seed=read("rng_seed", int),
-        dt=read("dt", float),
-        depth_noise_sigma=read("depth_noise_sigma", float),
+        dt=read("dt", _float),
+        depth_noise_sigma=read("depth_noise_sigma", _float),
         robot_start=read("robot_start", _vec),
         robot_joints=read("robot_joints", _vec),
         target_id=read("target_id", lambda v: None if v is None else str(v), None),

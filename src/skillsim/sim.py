@@ -207,7 +207,10 @@ def in_base_slab(lo: np.ndarray, hi: np.ndarray) -> bool:
 def _ray_aabb(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Entry distance of each ray into an AABB, +inf where the ray misses.
 
-    Distances are in units of the (unnormalized) direction vectors.
+    Distances are in units of the (unnormalized) direction vectors. The slab
+    bounds are reduced column by column with np.maximum/np.minimum; that is
+    bit-equal to `.max(axis=1)`/`.min(axis=1)`, signed zeros included, and
+    avoids numpy's per-row loop over a length-3 axis.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / dirs
@@ -217,8 +220,8 @@ def _ray_aabb(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarr
     thi = np.fmax(ta, tb)
     tlo = np.nan_to_num(tlo, nan=-np.inf)
     thi = np.nan_to_num(thi, nan=np.inf)
-    tmin = tlo.max(axis=1)
-    tmax = thi.min(axis=1)
+    tmin = np.maximum(np.maximum(tlo[:, 0], tlo[:, 1]), tlo[:, 2])
+    tmax = np.minimum(np.minimum(thi[:, 0], thi[:, 1]), thi[:, 2])
     hit = (tmax >= tmin) & (tmax > 0.0)
     return np.where(hit, np.maximum(tmin, 0.0), np.inf)
 

@@ -252,6 +252,16 @@ def test_render_scene_without_table_center_one_line_error(tmp_path, capsys):
     assert "missing key 'table.center'" in err
 
 
+def test_render_scene_with_nan_start_one_line_error(tmp_path, capsys):
+    path = tmp_path / "scene.txt"
+    write_scene_without(path, make_short_scene(0), "robot.start")
+    with open(path, "a") as fh:
+        fh.write("robot.start = nan 0.0 0.0\n")
+    err = one_line_error(capsys, ["render", "--scene", str(path),
+                                  "--out", str(tmp_path / "frame")], path)
+    assert "bad value for 'robot.start'" in err
+
+
 def test_eval_scene_obstacle_without_extents_one_line_error(mini_pipeline, tmp_path, capsys):
     _, _, models = mini_pipeline
     path = tmp_path / "scene.txt"

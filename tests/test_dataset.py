@@ -132,6 +132,14 @@ def test_manifest_missing_key_names_it(tmp_path):
         load_episode(tmp_path / "ep")
 
 
+def test_truncated_manifest_names_its_path(tmp_path):
+    save_episode(synthetic_episode(np.random.default_rng(17)), tmp_path / "ep")
+    mpath = tmp_path / "ep" / "manifest.json"
+    mpath.write_bytes(mpath.read_bytes()[:50])
+    with pytest.raises(DatasetError, match=r"manifest.json: not valid JSON: .*char"):
+        load_episode(tmp_path / "ep")
+
+
 def test_manifest_scene_round_trips_through_the_codec(tmp_path, short_episode):
     """Decoding and re-encoding the scene snapshot reproduces the manifest text."""
     long_ep = synthetic_episode(np.random.default_rng(5), variant="long")

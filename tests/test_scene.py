@@ -160,6 +160,19 @@ def test_scene_text_bad_value_named():
         config_from_text(text)
 
 
+@pytest.mark.parametrize("line,key", [
+    ("robot.start = nan 0.0 0.0", "robot.start"),
+    ("dt = inf", "dt"),
+    ("camera.focal_px = -inf", "camera.focal_px"),
+    ("object.box0.color = 0.85 nan 0.1", "object.box0.color"),
+])
+def test_scene_text_non_finite_value_named(line, key):
+    head = line.split(" =")[0]
+    lines = [l for l in GOLDEN_LONG_SCENE.splitlines() if not l.startswith(head + " =")]
+    with pytest.raises(ValueError, match=rf"bad value for '{key}': .* is not finite"):
+        config_from_text("\n".join(lines + [line]) + "\n")
+
+
 def test_scene_text_bad_line():
     with pytest.raises(ValueError, match="expected 'key = value'"):
         config_from_text("dt 0.1\n")
