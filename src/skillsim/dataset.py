@@ -132,7 +132,7 @@ def load_episode(dirpath) -> Episode:
         raise DatasetError(f"{mpath}: missing manifest")
     try:
         manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a bad byte
         raise DatasetError(f"{mpath}: not valid JSON: {exc}") from None
     if _key(manifest, "schema_version", mpath) != SCHEMA_VERSION:
         raise DatasetError(f"{mpath}: unsupported dataset version "

@@ -132,11 +132,15 @@ def test_manifest_missing_key_names_it(tmp_path):
         load_episode(tmp_path / "ep")
 
 
-def test_truncated_manifest_names_its_path(tmp_path):
+@pytest.mark.parametrize("corrupt,offset", [
+    (lambda b: b[:50], "char 50"),             # cut to 50 bytes
+    (lambda b: b"\xff" + b[1:], "position 0"),  # not UTF-8
+])
+def test_unreadable_manifest_names_its_path(tmp_path, corrupt, offset):
     save_episode(synthetic_episode(np.random.default_rng(17)), tmp_path / "ep")
     mpath = tmp_path / "ep" / "manifest.json"
-    mpath.write_bytes(mpath.read_bytes()[:50])
-    with pytest.raises(DatasetError, match=r"manifest.json: not valid JSON: .*char"):
+    mpath.write_bytes(corrupt(mpath.read_bytes()))
+    with pytest.raises(DatasetError, match=rf"manifest.json: not valid JSON: .*{offset}"):
         load_episode(tmp_path / "ep")
 
 

@@ -160,17 +160,16 @@ def test_scene_text_bad_value_named():
         config_from_text(text)
 
 
-@pytest.mark.parametrize("line,key", [
-    ("robot.start = nan 0.0 0.0", "robot.start"),
-    ("dt = inf", "dt"),
-    ("camera.focal_px = -inf", "camera.focal_px"),
-    ("object.box0.color = 0.85 nan 0.1", "object.box0.color"),
+@pytest.mark.parametrize("key,value", [
+    ("robot.start", "nan 0.0 0.0"),
+    ("dt", "inf"),
+    ("camera.focal_px", "-inf"),
+    ("object.box0.color", "0.85 nan 0.1"),
 ])
-def test_scene_text_non_finite_value_named(line, key):
-    head = line.split(" =")[0]
-    lines = [l for l in GOLDEN_LONG_SCENE.splitlines() if not l.startswith(head + " =")]
+def test_scene_text_non_finite_value_named(key, value):
+    lines = [l for l in GOLDEN_LONG_SCENE.splitlines() if not l.startswith(key + " =")]
     with pytest.raises(ValueError, match=rf"bad value for '{key}': .* is not finite"):
-        config_from_text("\n".join(lines + [line]) + "\n")
+        config_from_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
 
 
 def test_scene_text_bad_line():
