@@ -122,8 +122,8 @@ def _collect_one_star(job):
 # training
 
 
-def _load_training_episodes(dataset_dir, include_failed=False):
-    episodes = load_dataset(dataset_dir, include_failed=include_failed)
+def _load_training_episodes(dataset_dir):
+    episodes = load_dataset(dataset_dir)
     if not episodes:
         raise CliError(f"no successful episodes in {dataset_dir}")
     return episodes

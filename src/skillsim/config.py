@@ -7,8 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
+from .evaluate import MAX_STEPS
 from .expert import ExpertParams
 from .perception import PerceptionParams
+from .scene import DISTRACTORS, LONG_OBJECT_HALF_EXTENT, SHORT_OBJECT_HALF_EXTENT
+from .sim import DEPTH_NOISE_SIGMA
 from .training import TrainConfig
 
 
@@ -29,15 +32,15 @@ def _choice(*options):
     return parse
 
 
-# the expert.*, perception.* and learner.* defaults are the dataclass defaults
+# every default lives in the module that uses it; REGISTRY only reads it
 _E, _P, _T = ExpertParams(), PerceptionParams(), TrainConfig()
 
 # key -> (default, parser, help)
 REGISTRY = {
-    "scene.distractors": (2, int, "extra boxes per scene"),
-    "scene.short_object_half_extent": (0.03, _bounded(float, 0.0), "short-variant object half extent (m)"),
-    "scene.long_object_half_extent": (0.05, _bounded(float, 0.0), "long-variant object half extent (m)"),
-    "sim.depth_noise_sigma": (0.002, float, "depth noise std (m), 0 disables"),
+    "scene.distractors": (DISTRACTORS, int, "extra boxes per scene"),
+    "scene.short_object_half_extent": (SHORT_OBJECT_HALF_EXTENT, _bounded(float, 0.0), "short-variant object half extent (m)"),
+    "scene.long_object_half_extent": (LONG_OBJECT_HALF_EXTENT, _bounded(float, 0.0), "long-variant object half extent (m)"),
+    "sim.depth_noise_sigma": (DEPTH_NOISE_SIGMA, float, "depth noise std (m), 0 disables"),
     "perception.leaf": (_P.leaf, _bounded(float, 0.0), "voxel edge length (m)"),
     "perception.k_neighbors": (_P.k_neighbors, _bounded(int, 0), "outlier filter neighbor count"),
     "perception.alpha": (_P.alpha, float, "outlier filter stddev multiplier"),
@@ -59,7 +62,7 @@ REGISTRY = {
     "learner.latent": (_T.latent, _bounded(int, 0), "autoencoder latent size"),
     "learner.hidden": (_T.hidden, _bounded(int, 0), "recurrent hidden size"),
     "learner.frame_stride": (_T.frame_stride, _bounded(int, 0), "autoencoder frame subsampling stride"),
-    "eval.max_steps": (300, _bounded(int, 0), "rollout step budget"),
+    "eval.max_steps": (MAX_STEPS, _bounded(int, 0), "rollout step budget"),
 }
 
 

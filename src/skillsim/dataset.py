@@ -59,7 +59,8 @@ def record(transcript: ExpertTranscript) -> Episode:
 
     Step t carries the state and sensor frame observed before the t-th
     recorded command is applied, so consecutive steps form one-step
-    prediction pairs.
+    prediction pairs. The replayed base and joints must equal each tick's
+    recorded ones exactly; a divergence raises DatasetError naming the tick.
     """
     world = World(transcript.config)
     cam = transcript.config.camera
@@ -68,6 +69,9 @@ def record(transcript: ExpertTranscript) -> Episode:
     rgb = np.empty((n, cam.height, cam.width, 3), dtype=np.uint8)
     disparity = np.empty((n, cam.height, cam.width), dtype=np.float32)
     for t, rec in enumerate(transcript.ticks):
+        if not (np.array_equal(world.state.base, rec.base)
+                and np.array_equal(world.state.joints, rec.joints)):
+            raise DatasetError(f"replay diverged from the transcript at tick {t}")
         frame = world.render()
         states[t] = world.state.joints
         rgb[t] = frame.rgb

@@ -17,6 +17,7 @@ from .dataset import DatasetError, denormalize_state
 from .models import PolicyBundle, predict_next, normalized_state_input
 from .sim import BaseCommand, World
 
+MAX_STEPS = 300   # rollout step budget
 WORKSPACE_XY = 6.0
 WORKSPACE_Z = (-0.5, 3.0)
 
@@ -51,10 +52,11 @@ class RolloutReport:
                 f"{self.final_tip_distance:.6f},{self.steps_executed}")
 
 
-def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = 300,
+def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS,
             frame_sink=None) -> RolloutReport:
     """Run the policy closed loop on one scenario until grasp, divergence, or max_steps.
 
+    A non-finite prediction ends the scenario before it is applied.
     frame_sink, when given, receives (tick, SensorFrame) for every rendered
     frame; useful for dumping rollouts to disk.
     """
@@ -76,6 +78,8 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = 300,
         state_norm = normalized_state_input(world.state.joints, cmd, bundle.stats)
         pred_norm, hidden = predict_next(bundle, frame, state_norm, hidden)
         pred = denormalize_state(pred_norm, bundle.stats)
+        if not np.isfinite(pred).all():
+            break
         joint_target = pred[:5]
         base_cmd = BaseCommand()
         if scenario.variant == "long":
@@ -107,7 +111,7 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = 300,
     )
 
 
-def evaluate_suite(bundle: PolicyBundle, scenarios: list, max_steps: int = 300,
+def evaluate_suite(bundle: PolicyBundle, scenarios: list, max_steps: int = MAX_STEPS,
                    frame_sink_for=None):
     """Roll out every scenario; returns (reports, aggregates).
 

@@ -25,6 +25,7 @@ from .sim import ROBOT_RADIUS, BaseCommand, World, WorldConfig, wrap_angle
 log = logging.getLogger(__name__)
 
 ARM_CLEARANCE = 0.03
+NAV_CLEARANCE = 0.10  # planning inflation beyond the robot radius (m)
 PLAN_STEPS = np.array([0.01, 0.05, 0.05, 0.05, 0.05])  # max per-waypoint joint deltas
 
 
@@ -58,10 +59,6 @@ class ExpertParams:
     locate_noise_sigma: float = 0.005
     yaw_jitter_rad: float = 0.2
     yaw_jitter: str = "auto"              # auto | on | off
-    navigate_lookahead_m: float = 0.3
-    navigate_goal_tol_m: float = 0.05
-    grid_resolution_m: float = 0.05
-    grid_margin_m: float = 0.10           # extra inflation beyond the robot radius
     max_ticks: int = 3000
     perception: PerceptionParams = field(default_factory=PerceptionParams)
 
@@ -92,10 +89,6 @@ class ExpertTranscript:
     ticks: list = field(default_factory=list)      # TickRecord per simulator tick
     outcome: str = "FAILED"
     failure: str | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.outcome == "DONE"
 
 
 def plan_arm(q_start: np.ndarray, q_goal: np.ndarray, world: World) -> ArmPlan:
@@ -209,12 +202,10 @@ class _Run:
         # plan with extra clearance so pure-pursuit corner cutting never
         # brings the base into contact; slide the standoff outward if the
         # padded inflation swallows it
-        grid = OccupancyGrid.from_world(
-            self.world.config, self.params.grid_resolution_m,
-            robot_radius=ROBOT_RADIUS + self.params.grid_margin_m)
+        grid = OccupancyGrid.from_world(self.world.config, ROBOT_RADIUS + NAV_CLEARANCE)
         u = np.array([np.cos(bearing), np.sin(bearing)])
         standoff = None
-        for extra in np.arange(0.0, 0.16, self.params.grid_resolution_m):
+        for extra in np.arange(0.0, 0.16, grid.resolution):
             candidate = estimate[:2] + (self.params.standoff_m + extra) * u
             if grid.free(*grid.to_cell(candidate)):
                 standoff = candidate
@@ -229,9 +220,7 @@ class _Run:
         last_pos = self.world.state.base[:2].copy()
         stalled = 0
         for _ in range(self.params.max_ticks):
-            cmd = follow_path(self.world.state.base, path,
-                              self.params.navigate_lookahead_m,
-                              self.params.navigate_goal_tol_m)
+            cmd = follow_path(self.world.state.base, path)
             if cmd is None:
                 break
             self.drive(cmd, home)

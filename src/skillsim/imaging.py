@@ -3,6 +3,8 @@ the block-mean downscaling used at the learner boundary."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 PGM_DISPARITY_SCALE = 256.0  # stored value = round(disparity * scale)
@@ -16,19 +18,37 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         fh.write(rgb.tobytes())
 
 
-def read_ppm(path) -> np.ndarray:
+def _read_pnm(path, magic: bytes, maxval: bytes, dtype, channels: int) -> np.ndarray:
+    """Raster after the header lines `magic`, `W H`, `maxval`, as written here;
+    anything else raises ValueError naming the path and the offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic, dims, maxval, raster = blob.split(b"\n", 3)
-    if magic != b"P6" or maxval != b"255":
-        raise ValueError(f"{path}: not an 8-bit P6 PPM")
-    w, h = (int(v) for v in dims.split())
-    return np.frombuffer(raster, dtype=np.uint8, count=h * w * 3).reshape(h, w, 3).copy()
+    parts = blob.split(b"\n", 3)
+    if len(parts) < 4:
+        raise ValueError(f"{path}: truncated header at offset {len(blob)}")
+    head, dims, top, raster = parts
+    if head != magic:
+        raise ValueError(f"{path}: bad magic {head[:8]!r} at offset 0, expected {magic!r}")
+    size = re.fullmatch(rb"(\d+) (\d+)", dims)
+    if size is None:
+        raise ValueError(f"{path}: bad size {dims[:32]!r} at offset {len(head) + 1}")
+    if top != maxval:
+        raise ValueError(f"{path}: bad maxval {top[:8]!r} at offset {len(head) + len(dims) + 2}")
+    w, h = int(size[1]), int(size[2])
+    count = h * w * channels
+    if len(raster) < count * np.dtype(dtype).itemsize:
+        raise ValueError(f"{path}: truncated raster at offset {len(blob) - len(raster)}: "
+                         f"need {count} samples of {h}x{w}x{channels}")
+    return np.frombuffer(raster, dtype=dtype, count=count).reshape(h, w, channels).copy()
 
 
-def write_pgm16(path, values: np.ndarray, scale: float = PGM_DISPARITY_SCALE) -> None:
-    """Big-endian 16-bit PGM of round(values * scale), clamped to [0, 65535]."""
-    scaled = np.clip(np.rint(np.asarray(values, dtype=float) * scale), 0, 65535)
+def read_ppm(path) -> np.ndarray:
+    return _read_pnm(path, b"P6", b"255", np.uint8, 3)
+
+
+def write_pgm16(path, values: np.ndarray) -> None:
+    """Big-endian 16-bit PGM of round(values * PGM_DISPARITY_SCALE), clamped to [0, 65535]."""
+    scaled = np.clip(np.rint(np.asarray(values, dtype=float) * PGM_DISPARITY_SCALE), 0, 65535)
     data = scaled.astype(">u2")
     h, w = data.shape
     with open(path, "wb") as fh:
@@ -37,28 +57,20 @@ def write_pgm16(path, values: np.ndarray, scale: float = PGM_DISPARITY_SCALE) ->
 
 
 def read_pgm16(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, dims, maxval, raster = blob.split(b"\n", 3)
-    if magic != b"P5" or maxval != b"65535":
-        raise ValueError(f"{path}: not a 16-bit P5 PGM")
-    w, h = (int(v) for v in dims.split())
-    return np.frombuffer(raster, dtype=">u2", count=h * w).reshape(h, w).copy()
+    return _read_pnm(path, b"P5", b"65535", ">u2", 1)[..., 0]
 
 
 def block_mean(img: np.ndarray, factor: int) -> np.ndarray:
     """Downscale by integer factor with 2D block averaging.
 
-    A 2-D input is one (H, W) image; otherwise the last three axes are
-    (H, W, channels), so a stack of frames is downscaled in one call.
+    The last three axes are (H, W, channels), so a stack of frames is
+    downscaled in one call.
     """
     if factor == 1:
         return np.asarray(img, dtype=np.float64)
     x = np.asarray(img, dtype=np.float64)
-    h, w = x.shape[:2] if x.ndim == 2 else x.shape[-3:-1]
+    h, w = x.shape[-3:-1]
     if h % factor or w % factor:
         raise ValueError(f"image {h}x{w} not divisible by factor {factor}")
-    if x.ndim == 2:
-        return x.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
     blocks = x.reshape(*x.shape[:-3], h // factor, factor, w // factor, factor, x.shape[-1])
     return blocks.mean(axis=(-4, -2))

@@ -21,6 +21,9 @@ JOINT_RATES = np.array([0.1, 0.5, 0.5, 0.5, 2.0])  # per-second limits
 
 REACH_SLACK = 0.01
 ERROR_CLAMP = 0.2   # per-iteration cap on the task-space error magnitude
+IK_TOL = 1e-3       # tip residual (m) that counts as solved
+IK_MAX_ITER = 100   # iterations per attempt
+IK_DAMPING = 0.1    # lambda of the damped least-squares step
 
 # fallback start poses tried in order when the caller's seed stalls in a
 # fold-over basin; together with a front-facing seed these cover the
@@ -99,13 +102,14 @@ def _reach_distance(target: np.ndarray, base) -> float:
     return float(np.hypot(dxy, dz))
 
 
-def _dls_attempt(target, seed, base, tol, max_iter, lam2, gripper):
+def _dls_attempt(target, seed, base, gripper):
+    lam2 = IK_DAMPING * IK_DAMPING
     q = clamp_joints(np.asarray(seed, dtype=float).copy())
     q[4] = gripper
-    for _ in range(max_iter):
+    for _ in range(IK_MAX_ITER):
         err = target - fk(q, base)
         norm = float(np.linalg.norm(err))
-        if norm < tol:
+        if norm < IK_TOL:
             return q
         if norm > ERROR_CLAMP:
             err = err * (ERROR_CLAMP / norm)
@@ -113,39 +117,31 @@ def _dls_attempt(target, seed, base, tol, max_iter, lam2, gripper):
         delta = J.T @ np.linalg.solve(J @ J.T + lam2 * np.eye(3), err)
         q[:4] = q[:4] + delta
         q = clamp_joints(q)
-    if float(np.linalg.norm(target - fk(q, base))) < tol:
+    if float(np.linalg.norm(target - fk(q, base))) < IK_TOL:
         return q
     return None
 
 
-def ik(
-    target: np.ndarray,
-    seed_joints: np.ndarray,
-    base,
-    tol: float = 1e-3,
-    max_iter: int = 100,
-    damping: float = 0.1,
-) -> np.ndarray:
+def ik(target: np.ndarray, seed_joints: np.ndarray, base) -> np.ndarray:
     """Damped-least-squares IK for the gripper tip.
 
     Iterates q <- clamp(q + J^T (J J^T + lambda^2 I)^-1 e) over
-    (torso_lift, q1, q2, q3); the gripper entry of the seed is kept as is.
-    The error e is magnitude-capped at ERROR_CLAMP per iteration so early
-    steps cannot overshoot, and when the caller's seed stalls the solve
-    restarts from the fixed RESTART_SEEDS ladder (max_iter iterations per
-    attempt, everything deterministic).
+    (torso_lift, q1, q2, q3) with lambda = IK_DAMPING; the gripper entry of
+    the seed is kept as is. The error e is magnitude-capped at ERROR_CLAMP
+    per iteration so early steps cannot overshoot, and when the caller's
+    seed stalls the solve restarts from the fixed RESTART_SEEDS ladder
+    (IK_MAX_ITER iterations per attempt, everything deterministic).
 
     Raises IkError("unreachable target") when the target lies outside the
     reach annulus or below the floor, and IkError("ik failed") when no
-    attempt brings the residual under `tol`.
+    attempt brings the residual under IK_TOL.
     """
     target = np.asarray(target, dtype=float)
     if target[2] < 0.0 or _reach_distance(target, base) > ARM_REACH + REACH_SLACK:
         raise IkError("unreachable target")
     gripper = float(np.clip(seed_joints[4], JOINT_LOW[4], JOINT_HIGH[4]))
-    lam2 = damping * damping
     for seed in (seed_joints, *RESTART_SEEDS):
-        q = _dls_attempt(target, seed, base, tol, max_iter, lam2, gripper)
+        q = _dls_attempt(target, seed, base, gripper)
         if q is not None:
             return q
     raise IkError("ik failed")

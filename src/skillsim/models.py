@@ -74,8 +74,7 @@ class Autoencoder:
 class Predictor:
     """LSTM cell over (z_rgb, z_disp, state) with a linear readout to the next state."""
 
-    def __init__(self, latent: int, d_state: int, hidden: int = 64, rng=None,
-                 dtype=np.float32):
+    def __init__(self, latent: int, d_state: int, hidden: int, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.latent, self.d_state, self.hidden = latent, d_state, hidden
         self.n_in = 2 * latent + d_state

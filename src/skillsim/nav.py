@@ -11,6 +11,11 @@ from .sim import ROBOT_RADIUS, BaseCommand, WorldConfig, in_base_slab, wrap_angl
 
 SQRT2 = float(np.sqrt(2.0))
 
+GRID_RESOLUTION = 0.05   # occupancy cell edge (m)
+GRID_MARGIN = 1.0        # free border around the scene extents (m)
+LOOKAHEAD = 0.3          # pure-pursuit lookahead along the path (m)
+GOAL_TOL = 0.05          # arrival radius around the final waypoint (m)
+
 # fixed neighbor expansion order: 4-connected first, then diagonals
 _NEIGHBORS = (
     (-1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0), (1, 0, 1.0),
@@ -36,43 +41,38 @@ class OccupancyGrid:
             raise ValueError("resolution must be positive")
 
     @classmethod
-    def from_world(
-        cls,
-        config: WorldConfig,
-        resolution: float = 0.05,
-        robot_radius: float = ROBOT_RADIUS,
-        margin: float = 1.0,
-    ) -> "OccupancyGrid":
+    def from_world(cls, config: WorldConfig, robot_radius: float = ROBOT_RADIUS) -> "OccupancyGrid":
         """Rasterize the table and obstacle boxes, then inflate once by robot_radius.
 
-        A cell is marked when its square overlaps a box footprint whose
-        z-extent intersects the base slab [0, BASE_HEIGHT]. The grid covers
-        the scene extents (robot start included) plus `margin` on every side.
+        Cells are GRID_RESOLUTION on a side. A cell is marked when its square
+        overlaps a box footprint whose z-extent intersects the base slab
+        [0, BASE_HEIGHT]. The grid covers the scene extents (robot start
+        included) plus GRID_MARGIN on every side.
         """
         boxes = config.solid_boxes()
         anchors = [config.robot_start[:2]] + [o.center[:2] for o in config.objects]
         anchors += [lo[:2] for lo, _ in boxes] + [hi[:2] for _, hi in boxes]
         pts = np.array(anchors)
-        lo_w = pts.min(axis=0) - margin
-        hi_w = pts.max(axis=0) + margin
-        nx = int(np.ceil((hi_w[0] - lo_w[0]) / resolution))
-        ny = int(np.ceil((hi_w[1] - lo_w[1]) / resolution))
+        lo_w = pts.min(axis=0) - GRID_MARGIN
+        hi_w = pts.max(axis=0) + GRID_MARGIN
+        nx = int(np.ceil((hi_w[0] - lo_w[0]) / GRID_RESOLUTION))
+        ny = int(np.ceil((hi_w[1] - lo_w[1]) / GRID_RESOLUTION))
         cells = np.zeros((nx, ny), dtype=bool)
 
         for lo, hi in boxes:
             if not in_base_slab(lo, hi):
                 continue
-            i0 = int(np.floor((lo[0] - lo_w[0]) / resolution))
-            i1 = int(np.ceil((hi[0] - lo_w[0]) / resolution))
-            j0 = int(np.floor((lo[1] - lo_w[1]) / resolution))
-            j1 = int(np.ceil((hi[1] - lo_w[1]) / resolution))
+            i0 = int(np.floor((lo[0] - lo_w[0]) / GRID_RESOLUTION))
+            i1 = int(np.ceil((hi[0] - lo_w[0]) / GRID_RESOLUTION))
+            j0 = int(np.floor((lo[1] - lo_w[1]) / GRID_RESOLUTION))
+            j1 = int(np.ceil((hi[1] - lo_w[1]) / GRID_RESOLUTION))
             cells[max(i0, 0):max(i1, 0), max(j0, 0):max(j1, 0)] = True
 
-        r_cells = int(np.ceil(robot_radius / resolution))
+        r_cells = int(np.ceil(robot_radius / GRID_RESOLUTION))
         inflated = cells.copy()
         for di in range(-r_cells, r_cells + 1):
             for dj in range(-r_cells, r_cells + 1):
-                if di == dj == 0 or np.hypot(di, dj) * resolution > robot_radius:
+                if di == dj == 0 or np.hypot(di, dj) * GRID_RESOLUTION > robot_radius:
                     continue
                 src = cells[
                     max(-di, 0):cells.shape[0] - max(di, 0),
@@ -82,7 +82,7 @@ class OccupancyGrid:
                     max(di, 0):cells.shape[0] - max(-di, 0),
                     max(dj, 0):cells.shape[1] - max(-dj, 0),
                 ] |= src
-        return cls(resolution, lo_w, inflated)
+        return cls(GRID_RESOLUTION, lo_w, inflated)
 
     def to_cell(self, p) -> tuple[int, int]:
         c = np.floor((np.asarray(p, dtype=float)[:2] - self.origin) / self.resolution)
@@ -167,16 +167,12 @@ def astar(grid: OccupancyGrid, start, goal) -> Path:
     raise PlanningError("unreachable goal")
 
 
-def follow_path(
-    pose,
-    path: Path,
-    lookahead: float = 0.3,
-    goal_tol: float = 0.05,
-) -> BaseCommand | None:
+def follow_path(pose, path: Path) -> BaseCommand | None:
     """Pure-pursuit command toward the path; None signals arrival.
 
-    The target is the first waypoint at least `lookahead` along the path
-    from the waypoint closest to the robot (the final waypoint otherwise);
+    Arrival means the robot is within GOAL_TOL of the final waypoint. The
+    target is the first waypoint at least LOOKAHEAD along the path from the
+    waypoint closest to the robot (the final waypoint otherwise);
     omega = 2 * heading error, v = 0.5 * clamp(1 - |heading error| / pi).
     """
     if len(path) == 0:
@@ -184,7 +180,7 @@ def follow_path(
     x, y, yaw = float(pose[0]), float(pose[1]), float(pose[2])
     p = np.array([x, y])
     wps = path.waypoints
-    if float(np.hypot(*(wps[-1] - p))) <= goal_tol:
+    if float(np.hypot(*(wps[-1] - p))) <= GOAL_TOL:
         return None
 
     nearest = int(np.argmin(np.sum((wps - p) ** 2, axis=1)))
@@ -192,7 +188,7 @@ def follow_path(
     travelled = 0.0
     for i in range(nearest + 1, len(wps)):
         travelled += float(np.hypot(*(wps[i] - wps[i - 1])))
-        if travelled >= lookahead:
+        if travelled >= LOOKAHEAD:
             target = wps[i]
             break
 

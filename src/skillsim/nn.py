@@ -107,13 +107,16 @@ class Upsample2x:
 
 
 class Conv2d:
-    """3x3 (or kxk) convolution over NHWC via im2col, zero padding."""
+    """3x3 convolution over NHWC via im2col, zero padding of 1."""
+
+    k = 3
+    pad = 1
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator,
-                 kernel: int = 3, stride: int = 1, pad: int = 1, dtype=np.float32):
+                 stride: int = 1, dtype=np.float32):
         self.c_in, self.c_out = c_in, c_out
-        self.k, self.stride, self.pad = kernel, stride, pad
-        fan_in = kernel * kernel * c_in
+        self.stride = stride
+        fan_in = self.k * self.k * c_in
         self.W = Param(xavier(rng, (fan_in, c_out), fan_in, c_out, dtype))
         self.b = Param(np.zeros(c_out, dtype=dtype))
         self._cols = None
@@ -204,8 +207,8 @@ class LSTMCell:
         b[n_hidden:2 * n_hidden] = 1.0  # forget-gate bias
         self.b = Param(b)
 
-    def zero_state(self, batch: int, dtype=None):
-        dtype = dtype or self.Wx.value.dtype
+    def zero_state(self, batch: int):
+        dtype = self.Wx.value.dtype
         return (np.zeros((batch, self.n_hidden), dtype=dtype),
                 np.zeros((batch, self.n_hidden), dtype=dtype))
 
@@ -258,10 +261,13 @@ def loss_mse(pred: np.ndarray, target: np.ndarray):
 
 
 class Adam:
-    def __init__(self, params: list, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list, lr: float):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
         self.t = 0

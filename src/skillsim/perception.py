@@ -85,23 +85,26 @@ def voxel_grid_filter(cloud: PointCloud, leaf: float) -> PointCloud:
     return PointCloud(mean_pos, mean_col)
 
 
-def _knn_mean_distances(pos: np.ndarray, k: int, chunk: int = 64) -> np.ndarray:
+KNN_CHUNK = 64  # rows per block of the brute-force k-NN
+
+
+def _knn_mean_distances(pos: np.ndarray, k: int) -> np.ndarray:
     """Mean distance from each point to its k nearest neighbors (brute force).
 
     Exact: bit-equal to taking `np.sqrt(np.sum(diff * diff, axis=2))` over the
     full (n, n, 3) difference tensor, sorting each row and averaging its first
     k. Squared distances accumulate as (dx*dx + dy*dy) + dz*dz, the order numpy
     sums a length-3 axis in, and since sqrt is monotone the k smallest squared
-    distances give the same k sorted distances. Rows go in blocks of `chunk`
-    so the (chunk, n) buffers stay in cache.
+    distances give the same k sorted distances. Rows go in blocks of
+    KNN_CHUNK so the (KNN_CHUNK, n) buffers stay in cache.
     """
     n = pos.shape[0]
     x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
     out = np.empty(n)
-    d2 = np.empty((min(chunk, n), n))
+    d2 = np.empty((min(KNN_CHUNK, n), n))
     sq = np.empty_like(d2)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, KNN_CHUNK):
+        hi = min(lo + KNN_CHUNK, n)
         acc, tmp = d2[:hi - lo], sq[:hi - lo]
         np.subtract(x[lo:hi, None], x, out=acc)
         np.multiply(acc, acc, out=acc)
@@ -174,6 +177,9 @@ def load_cloud(path) -> PointCloud:
         blob = fh.read()
     if blob[:8] != CLOUD_MAGIC:
         raise ValueError(f"{path}: not a point cloud file (bad magic at offset 0)")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: truncated at offset 8: need 4 bytes for the point count, "
+                         f"{len(blob) - 8} left")
     (count,) = struct.unpack_from("<I", blob, 8)
     expected = 12 + count * 24
     if len(blob) != expected:

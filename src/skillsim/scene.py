@@ -13,7 +13,8 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .sim import Box, CameraIntrinsics, ObjectSpec, WorldConfig
+from .sim import (DEPTH_NOISE_SIGMA, TABLE_CENTER, TABLE_SIZE, Box, CameraIntrinsics,
+                  ObjectSpec, WorldConfig)
 
 # object palette; pairwise RGB distances all exceed the 0.3 separation floor
 PALETTE = {
@@ -24,36 +25,34 @@ PALETTE = {
     "magenta": (0.80, 0.10, 0.80),
 }
 
-TABLE_CENTER = (1.2, 0.0, 0.2)
-TABLE_SIZE = (0.6, 1.2, 0.4)
 TABLE_TOP = TABLE_CENTER[2] + TABLE_SIZE[2] / 2.0
 
+DISTRACTORS = 2                  # extra boxes per scene
+SHORT_OBJECT_HALF_EXTENT = 0.03  # m
+LONG_OBJECT_HALF_EXTENT = 0.05   # m
 
-def _place_distractors(rng, target_xy, count, half_extent, start_index=1):
-    """Boxes elsewhere on the table, clear of the target and the grasp lane."""
+
+def _place_objects(rng, target_xy, distractors, half_extent):
+    """The red target box0 at target_xy, then distractors box1, box2, ...
+    elsewhere on the table, clear of the target and the grasp lane."""
     names = list(PALETTE)[1:]
-    objects = []
-    for i in range(count):
+    placed = [("box0", *target_xy, PALETTE["red"])]
+    for i in range(distractors):
         side = 1.0 if rng.uniform() < 0.5 else -1.0
         dy = side * rng.uniform(0.20, 0.34)
         y = float(np.clip(target_xy[1] + dy, -0.48, 0.48))
         x = float(rng.uniform(1.15, 1.38))
-        color = PALETTE[names[(start_index - 1 + i) % len(names)]]
-        objects.append(ObjectSpec(
-            id=f"box{start_index + i}",
-            center=np.array([x, y, TABLE_TOP + half_extent]),
-            half_extents=np.full(3, half_extent),
-            color=np.array(color),
-        ))
-    return objects
+        placed.append((f"box{1 + i}", x, y, PALETTE[names[i % len(names)]]))
+    return [ObjectSpec(id=name, center=np.array([x, y, TABLE_TOP + half_extent]),
+                       half_extents=np.full(3, half_extent), color=np.array(color))
+            for name, x, y, color in placed]
 
 
 def make_short_scene(
     seed: int,
-    distractors: int = 2,
-    object_half_extent: float = 0.03,
-    depth_noise_sigma: float = 0.002,
-    camera: CameraIntrinsics | None = None,
+    distractors: int = DISTRACTORS,
+    object_half_extent: float = SHORT_OBJECT_HALF_EXTENT,
+    depth_noise_sigma: float = DEPTH_NOISE_SIGMA,
 ) -> WorldConfig:
     """Grasp-only scene: the base starts 0.54-0.62 m out, heading at the target."""
     rng = np.random.default_rng([seed, 101])
@@ -61,19 +60,8 @@ def make_short_scene(
     bearing = rng.uniform(-0.25, 0.25)
     dist = rng.uniform(0.54, 0.62)
     start_xy = target_xy - dist * np.array([np.cos(bearing), np.sin(bearing)])
-    target = ObjectSpec(
-        id="box0",
-        center=np.array([target_xy[0], target_xy[1], TABLE_TOP + object_half_extent]),
-        half_extents=np.full(3, object_half_extent),
-        color=np.array(PALETTE["red"]),
-    )
-    objects = [target] + _place_distractors(rng, target_xy, distractors, object_half_extent)
     return WorldConfig(
-        table_center=np.array(TABLE_CENTER),
-        table_size=np.array(TABLE_SIZE),
-        objects=objects,
-        obstacle_boxes=[],
-        camera=camera or CameraIntrinsics(),
+        objects=_place_objects(rng, target_xy, distractors, object_half_extent),
         rng_seed=seed,
         depth_noise_sigma=depth_noise_sigma,
         robot_start=np.array([start_xy[0], start_xy[1], bearing]),
@@ -83,11 +71,10 @@ def make_short_scene(
 
 def make_long_scene(
     seed: int,
-    distractors: int = 2,
-    object_half_extent: float = 0.05,
-    depth_noise_sigma: float = 0.002,
+    distractors: int = DISTRACTORS,
+    object_half_extent: float = LONG_OBJECT_HALF_EXTENT,
+    depth_noise_sigma: float = DEPTH_NOISE_SIGMA,
     start_distance: tuple = (2.7, 3.3),
-    camera: CameraIntrinsics | None = None,
 ) -> WorldConfig:
     """Navigate-then-grasp scene with staggered obstacle boxes on the route.
 
@@ -102,14 +89,7 @@ def make_long_scene(
     dist = rng.uniform(*start_distance)
     start_xy = target_xy - dist * np.array([np.cos(bearing), np.sin(bearing)])
     start_yaw = bearing + rng.uniform(-0.2, 0.2)
-
-    target = ObjectSpec(
-        id="box0",
-        center=np.array([target_xy[0], target_xy[1], TABLE_TOP + object_half_extent]),
-        half_extents=np.full(3, object_half_extent),
-        color=np.array(PALETTE["red"]),
-    )
-    objects = [target] + _place_distractors(rng, target_xy, distractors, object_half_extent)
+    objects = _place_objects(rng, target_xy, distractors, object_half_extent)
 
     u = (target_xy - start_xy) / dist
     perp = np.array([-u[1], u[0]])
@@ -125,11 +105,8 @@ def make_long_scene(
         ))
 
     return WorldConfig(
-        table_center=np.array(TABLE_CENTER),
-        table_size=np.array(TABLE_SIZE),
         objects=objects,
         obstacle_boxes=obstacles,
-        camera=camera or CameraIntrinsics(),
         rng_seed=seed,
         depth_noise_sigma=depth_noise_sigma,
         robot_start=np.array([start_xy[0], start_xy[1], start_yaw]),

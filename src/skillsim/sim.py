@@ -8,6 +8,7 @@ against axis-aligned boxes. Everything is kinematic and seed-deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,9 @@ BASE_HEIGHT = 0.3           # z-slab the base occupies for collision purposes
 TOUCH_MARGIN = 0.02         # AABB inflation for the touch predicate
 GRASP_APERTURE = 0.3        # gripper aperture threshold for attaching
 MIN_COLOR_SEPARATION = 0.3
+TABLE_CENTER = (1.2, 0.0, 0.2)
+TABLE_SIZE = (0.6, 1.2, 0.4)
+DEPTH_NOISE_SIGMA = 0.002   # depth noise std (m)
 
 FLOOR_COLOR = (0.45, 0.45, 0.45)
 TABLE_COLOR = (0.55, 0.36, 0.20)
@@ -108,14 +112,14 @@ class RobotState:
 
 @dataclass
 class WorldConfig:
-    table_center: np.ndarray = field(default_factory=lambda: np.array([1.2, 0.0, 0.2]))
-    table_size: np.ndarray = field(default_factory=lambda: np.array([0.6, 1.2, 0.4]))
+    table_center: np.ndarray = field(default_factory=lambda: np.array(TABLE_CENTER))
+    table_size: np.ndarray = field(default_factory=lambda: np.array(TABLE_SIZE))
     objects: list = field(default_factory=list)
     obstacle_boxes: list = field(default_factory=list)
     camera: CameraIntrinsics = field(default_factory=CameraIntrinsics)
     rng_seed: int = 0
     dt: float = 0.1
-    depth_noise_sigma: float = 0.002
+    depth_noise_sigma: float = DEPTH_NOISE_SIGMA
     robot_start: np.ndarray = field(default_factory=lambda: np.zeros(3))
     robot_joints: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.9, -1.4, 0.0, 1.0]))
     target_id: str | None = None
@@ -252,9 +256,6 @@ class World:
             raise ValueError("no target object designated")
         return self.config.object(self.config.target_id)
 
-    def target_center(self) -> np.ndarray:
-        return self.object_centers[self.target_object().id]
-
     # ------------------------------------------------------------------
     # dynamics
 
@@ -265,8 +266,14 @@ class World:
         in collision, in which case base motion freezes for the tick. Joints
         move toward joint_target under per-joint rate limits. An attached
         object follows the gripper tip; closing the gripper while touching
-        the target attaches it.
+        the target attaches it. A non-finite command raises ValueError and
+        leaves the state unchanged.
         """
+        joint_target = np.asarray(joint_target, dtype=float)
+        if not (math.isfinite(base_cmd.v) and math.isfinite(base_cmd.omega)
+                and np.isfinite(joint_target).all()):
+            raise ValueError(f"non-finite command: base ({base_cmd.v}, {base_cmd.omega}), "
+                             f"joints {joint_target}")
         cmd = base_cmd.clamped()
         dt = self.config.dt
         x, y, yaw = self.state.base
@@ -276,7 +283,7 @@ class World:
         if not self._base_collides(nx, ny):
             self.state.base = np.array([nx, ny, nyaw])
 
-        target = kinematics.clamp_joints(np.asarray(joint_target, dtype=float))
+        target = kinematics.clamp_joints(joint_target)
         max_delta = kinematics.JOINT_RATES * dt
         delta = np.clip(target - self.state.joints, -max_delta, max_delta)
         self.state.joints = kinematics.clamp_joints(self.state.joints + delta)
@@ -303,9 +310,9 @@ class World:
     # ------------------------------------------------------------------
     # predicates
 
-    def touching(self, object_id: str | None = None) -> bool:
-        """True iff the gripper tip is inside the object AABB inflated by TOUCH_MARGIN."""
-        obj = self.config.object(object_id) if object_id else self.target_object()
+    def touching(self) -> bool:
+        """True iff the gripper tip is inside the target's AABB inflated by TOUCH_MARGIN."""
+        obj = self.target_object()
         tip = self.gripper_tip()
         center = self.object_centers[obj.id]
         return bool(np.all(np.abs(tip - center) <= obj.half_extents + TOUCH_MARGIN))

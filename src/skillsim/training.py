@@ -20,6 +20,8 @@ from .models import Autoencoder, Predictor, standardize_disparity, standardize_r
 
 log = logging.getLogger(__name__)
 
+FD_STEP = 1e-5  # central-difference step of the gradient checks
+
 
 @dataclass
 class TrainConfig:
@@ -27,9 +29,6 @@ class TrainConfig:
     ae_epochs: int = 120
     batch: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: float = 5.0
     tbptt: int = 32
     seed: int = 0
@@ -73,7 +72,7 @@ def train_autoencoder(episodes, modality: str, stats: NormStats, config: TrainCo
     rng = np.random.default_rng([config.seed, 1 if modality == "rgb" else 2])
     ae = Autoencoder(frames.shape[-1], frames.shape[1], config.latent, rng)
     params = ae.named_params()
-    opt = nn.Adam([p for _, p in params], config.lr, config.beta1, config.beta2, config.eps)
+    opt = nn.Adam([p for _, p in params], config.lr)
 
     losses = []
     n = frames.shape[0]
@@ -121,7 +120,7 @@ def _episode_sequences(episodes, enc_rgb: Autoencoder, enc_disp: Autoencoder,
         seqs.append((x.astype(np.float32), state_n[1:]))
     if not seqs:
         raise ValueError("need at least one episode with two or more steps")
-    return seqs, include_cmd
+    return seqs
 
 
 def _pad_batch(seqs):
@@ -182,13 +181,13 @@ def train_predictor(episodes, enc_rgb: Autoencoder, enc_disp: Autoencoder,
     config.validate()
     if len(episodes) < 2:
         raise ValueError("need at least 2 episodes")
-    seqs, include_cmd = _episode_sequences(episodes, enc_rgb, enc_disp, stats, config)
+    seqs = _episode_sequences(episodes, enc_rgb, enc_disp, stats, config)
     X, Y, M = _pad_batch(seqs)
     d_state = Y.shape[-1]
     rng = np.random.default_rng([config.seed, 3])
     predictor = Predictor(config.latent, d_state, config.hidden, rng)
     params = predictor.named_params()
-    opt = nn.Adam([p for _, p in params], config.lr, config.beta1, config.beta2, config.eps)
+    opt = nn.Adam([p for _, p in params], config.lr)
 
     losses = []
     lmax = X.shape[1]
@@ -231,7 +230,7 @@ class GradCheckResult:
         return self.max_rel_err < self.threshold
 
 
-def _numeric_grads(loss_fn, params, h: float = 1e-5):
+def _numeric_grads(loss_fn, params):
     grads = []
     for p in params:
         g = np.zeros_like(p.value)
@@ -239,12 +238,12 @@ def _numeric_grads(loss_fn, params, h: float = 1e-5):
         gf = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             lp = loss_fn()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             lm = loss_fn()
             flat[i] = orig
-            gf[i] = (lp - lm) / (2.0 * h)
+            gf[i] = (lp - lm) / (2.0 * FD_STEP)
         grads.append(g)
     return grads
 

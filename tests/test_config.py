@@ -2,7 +2,7 @@
 
 import pytest
 
-from skillsim.config import ConfigError, load_run_config
+from skillsim.config import REGISTRY, ConfigError, load_run_config
 
 
 def test_defaults_resolve():
@@ -63,3 +63,38 @@ def test_describe_carries_provenance():
     cfg = load_run_config(overrides=["eval.max_steps=50"])
     desc = cfg.describe()
     assert desc["eval.max_steps"] == {"value": 50, "source": "flag"}
+
+
+def test_registry_keys_and_defaults_pinned():
+    """The user-facing config surface: every key and its default, type included."""
+    expected = {
+        "scene.distractors": 2,
+        "scene.short_object_half_extent": 0.03,
+        "scene.long_object_half_extent": 0.05,
+        "sim.depth_noise_sigma": 0.002,
+        "perception.leaf": 0.01,
+        "perception.k_neighbors": 8,
+        "perception.alpha": 1.0,
+        "perception.color_threshold": 0.25,
+        "expert.standoff_m": 0.55,
+        "expert.pregrasp_offset_m": 0.10,
+        "expert.lift_height_m": 0.15,
+        "expert.locate_noise_sigma": 0.005,
+        "expert.yaw_jitter_rad": 0.2,
+        "expert.yaw_jitter": "auto",
+        "expert.max_ticks": 3000,
+        "learner.epochs": 1000,
+        "learner.ae_epochs": 120,
+        "learner.batch": 64,
+        "learner.lr": 1e-3,
+        "learner.grad_clip": 5.0,
+        "learner.tbptt": 32,
+        "learner.downscale": 2,
+        "learner.latent": 32,
+        "learner.hidden": 64,
+        "learner.frame_stride": 1,
+        "eval.max_steps": 300,
+    }
+    defaults = {key: default for key, (default, _, _) in REGISTRY.items()}
+    assert defaults == expected
+    assert {k: type(v) for k, v in defaults.items()} == {k: type(v) for k, v in expected.items()}

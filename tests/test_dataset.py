@@ -1,5 +1,6 @@
 """Episode recording, bit-exact persistence, and normalization statistics."""
 
+import copy
 import json
 import struct
 
@@ -80,6 +81,18 @@ def test_record_replay_deterministic(short_episode):
     transcript = run_expert(World(cfg), cfg.target_id, "short")
     again = record(transcript)
     assert episodes_equal(short_episode, again)
+
+
+def test_record_rejects_transcript_replay_diverges_from():
+    cfg = make_short_scene(0)
+    transcript = run_expert(World(cfg), cfg.target_id, "short")
+    wrong_command = copy.deepcopy(transcript)
+    wrong_command.ticks[10].v = 0.2          # a command the expert did not give
+    wrong_state = copy.deepcopy(transcript)
+    wrong_state.ticks[7].joints[1] += 0.5    # a state the world did not reach
+    for tampered, tick in ((wrong_command, 11), (wrong_state, 7)):
+        with pytest.raises(DatasetError, match=rf"replay diverged from the transcript at tick {tick}$"):
+            record(tampered)
 
 
 # ----------------------------------------------------------------------

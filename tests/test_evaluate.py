@@ -6,7 +6,7 @@ import pytest
 from skillsim.dataset import DatasetError, NormStats
 from skillsim.evaluate import Scenario, evaluate_suite, reports_to_csv, rollout
 from skillsim.models import Autoencoder, PolicyBundle, Predictor
-from skillsim.scene import make_long_scene, make_short_scene
+from skillsim.scene import make_long_scene, make_scene, make_short_scene
 
 
 def untrained_bundle(d_state=5, seed=0):
@@ -44,6 +44,16 @@ def test_variant_mismatch_rejected():
     cfg = make_long_scene(0)
     with pytest.raises(DatasetError, match="mismatch"):
         rollout(bundle, Scenario("long0", cfg, "long"))
+
+
+@pytest.mark.parametrize("d_state, variant", [(5, "short"), (7, "long")])
+def test_non_finite_prediction_ends_rollout_before_stepping(d_state, variant):
+    bundle = untrained_bundle(d_state=d_state)
+    bundle.predictor.readout.b.value[-1] = np.nan  # the last joint, or omega
+    report = rollout(bundle, Scenario("nan", make_scene(0, variant), variant), max_steps=10)
+    assert report.steps_executed == 0
+    assert np.isfinite(report.final_tip_distance)
+    assert report.csv_row().endswith(",0")
 
 
 def test_long_variant_bundle_accepts_long_scenario():

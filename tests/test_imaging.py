@@ -27,7 +27,7 @@ def test_pgm16_round_trip_scaled(tmp_path):
     rng = np.random.default_rng(1)
     disparity = rng.uniform(0, 12, (32, 32))
     path = tmp_path / "disp.pgm"
-    write_pgm16(path, disparity, scale=256.0)
+    write_pgm16(path, disparity)
     back = read_pgm16(path)
     assert back.dtype.str == ">u2"
     assert np.array_equal(back.astype(np.uint32),
@@ -41,10 +41,10 @@ def test_pgm16_clamps(tmp_path):
 
 
 def test_block_mean_values():
-    img = np.arange(16, dtype=float).reshape(4, 4)
+    img = np.arange(16, dtype=float).reshape(4, 4, 1)
     out = block_mean(img, 2)
-    assert out.shape == (2, 2)
-    assert out[0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
+    assert out.shape == (2, 2, 1)
+    assert out[0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
 
 
 def test_block_mean_channels_and_identity():
@@ -55,3 +55,18 @@ def test_block_mean_channels_and_identity():
     assert out.shape == (2, 2, 3)
     with pytest.raises(ValueError, match="not divisible"):
         block_mean(img, 3)
+
+
+@pytest.mark.parametrize("blob, reader, message", [
+    (b"P6\n4 4", read_ppm, r"truncated header at offset 6"),
+    (b"P6\nx y\n255\n", read_ppm, r"bad size b'x y' at offset 3"),
+    (b"P6\n4 4\n65535\n", read_ppm, r"bad maxval b'65535' at offset 7"),
+    (b"P6\n4 4\n255\n" + bytes(47), read_ppm, r"truncated raster at offset 11"),
+    (b"P6\n4 4\n255\n" + bytes(48), read_pgm16, r"bad magic b'P6' at offset 0"),
+], ids=["short-header", "non-numeric-size", "wrong-maxval", "short-raster", "wrong-magic"])
+def test_pnm_malformed_names_path_and_offset(tmp_path, blob, reader, message):
+    path = tmp_path / "bad.pnm"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=message) as info:
+        reader(path)
+    assert str(path) in str(info.value)

@@ -109,7 +109,7 @@ def test_conv_output_shapes():
 def test_lstm_zero_input_closed_form():
     rng = np.random.default_rng(4)
     cell = nn.LSTMCell(3, 5, rng, dtype=np.float64)
-    h0, c0 = cell.zero_state(1, dtype=np.float64)
+    h0, c0 = cell.zero_state(1)
     x = np.zeros((1, 3))
     h1, c1, _ = cell.step(x, h0, c0)
     b = cell.b.value

@@ -334,6 +334,14 @@ def test_cloud_truncation_detected(tmp_path):
         load_cloud(path)
 
 
+def test_cloud_shorter_than_its_header(tmp_path):
+    path = tmp_path / "cloud.bin"
+    path.write_bytes(b"PCLD0001" + b"\x01")
+    with pytest.raises(ValueError, match=r"truncated at offset 8") as info:
+        load_cloud(path)
+    assert str(path) in str(info.value)
+
+
 def test_cloud_bad_magic(tmp_path):
     path = tmp_path / "cloud.bin"
     path.write_bytes(b"NOTACLOUD" + b"\x00" * 20)

@@ -55,6 +55,20 @@ def test_joint_limits_hold_under_random_commands():
         assert -np.pi < world.state.base[2] <= np.pi
 
 
+@pytest.mark.parametrize("v, omega, joint", [
+    (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, np.nan), (np.nan, 0.0, np.nan),
+])
+def test_step_rejects_non_finite_command(v, omega, joint):
+    world = World(make_short_scene(0))
+    before = world.state.copy()
+    target = world.state.joints.copy()
+    target[2] += joint
+    with pytest.raises(ValueError, match="non-finite command"):
+        world.step(BaseCommand(v, omega), target)
+    assert np.array_equal(world.state.base, before.base)
+    assert np.array_equal(world.state.joints, before.joints)
+
+
 def test_energy_free_kinematics():
     world = World(single_object_config([1.2, 0.0, 0.43]))
     base0 = world.state.base.copy()
