@@ -1,4 +1,7 @@
-"""Layer gradients against central differences; loss oracle; optimizer basics."""
+"""Layer gradients against central differences; loss oracle; optimizer basics;
+the layers against frozen copies of their earlier kernels, bit for bit."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -120,3 +123,229 @@ def test_lstm_zero_input_closed_form():
     h_expect = o * np.tanh(c_expect)
     assert np.allclose(c1[0], c_expect, atol=1e-12)
     assert np.allclose(h1[0], h_expect, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# frozen reference kernels: the layers as they were before the one-pass
+# rewrite. The layers must match them bit for bit, signed zeros included.
+
+
+def sigmoid_reference(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def conv_forward_reference(conv, x):
+    """Returns (output, cols): nine strided slice writes, then one product."""
+    n, h, w, c = x.shape
+    ho, wo = conv._out_hw(h, w)
+    k, s, p = conv.k, conv.stride, conv.pad
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    cols = np.empty((n, ho, wo, k * k * c), dtype=x.dtype)
+    for di in range(k):
+        for dj in range(k):
+            patch = xp[:, di:di + ho * s:s, dj:dj + wo * s:s, :]
+            cols[..., (di * k + dj) * c:(di * k + dj + 1) * c] = patch
+    cols = cols.reshape(-1, k * k * c)
+    out = cols @ conv.W.value + conv.b.value
+    return out.reshape(n, ho, wo, conv.c_out), cols
+
+
+def conv_backward_reference(conv, cols, x_shape, dout):
+    """Accumulates into conv's gradients and returns the input gradient."""
+    n, h, w, c = x_shape
+    ho, wo = conv._out_hw(h, w)
+    k, s, p = conv.k, conv.stride, conv.pad
+    d2 = dout.reshape(-1, conv.c_out)
+    conv.W.grad += cols.T @ d2
+    conv.b.grad += d2.sum(axis=0)
+    dcols = (d2 @ conv.W.value.T).reshape(n, ho, wo, k * k * c)
+    dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dout.dtype)
+    for di in range(k):
+        for dj in range(k):
+            dxp[:, di:di + ho * s:s, dj:dj + wo * s:s, :] += \
+                dcols[..., (di * k + dj) * c:(di * k + dj + 1) * c]
+    return dxp[:, p:p + h, p:p + w, :]
+
+
+def upsample_backward_reference(dout):
+    n, h2, w2, c = dout.shape
+    return dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
+
+
+def lstm_step_reference(cell, x, h, c):
+    nh = cell.n_hidden
+    z = x @ cell.Wx.value + h @ cell.Wh.value + cell.b.value
+    i = sigmoid_reference(z[:, :nh])
+    f = sigmoid_reference(z[:, nh:2 * nh])
+    o = sigmoid_reference(z[:, 2 * nh:3 * nh])
+    g = np.tanh(z[:, 3 * nh:])
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return o * tanh_c, c_new, (x, h, c, i, f, o, g, tanh_c)
+
+
+def lstm_backward_step_reference(cell, dh, dc, cache):
+    """Accumulates into cell's gradients and returns (dh_prev, dc_prev)."""
+    x, h, c, i, f, o, g, tanh_c = cache
+    do = dh * tanh_c
+    dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    di = dc_total * g
+    df = dc_total * c
+    dg = dc_total * i
+    dc_prev = dc_total * f
+    dz = np.concatenate([
+        di * i * (1.0 - i),
+        df * f * (1.0 - f),
+        do * o * (1.0 - o),
+        dg * (1.0 - g * g),
+    ], axis=1)
+    cell.Wx.grad += x.T @ dz
+    cell.Wh.grad += h.T @ dz
+    cell.b.grad += dz.sum(axis=0)
+    return dz @ cell.Wh.value.T, dc_prev
+
+
+def assert_bit_equal(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def hostile(rng, shape, dtype, scale=1.0):
+    """Normal values with signed zeros, tiny and large magnitudes mixed in."""
+    x = rng.normal(scale=scale, size=shape)
+    pick = rng.integers(0, 8, size=shape)
+    x[pick == 0] = 0.0
+    x[pick == 1] = -0.0
+    x[pick == 2] *= 1e4
+    x[pick == 3] *= 1e-4
+    return x.astype(dtype)
+
+
+def with_random_grads(rng, params):
+    """Start gradients from nonzero values, so accumulation is checked too."""
+    for p in params:
+        p.grad[...] = rng.normal(size=p.grad.shape)
+
+
+DTYPES = (np.float32, np.float64)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_sigmoid_bit_equal_to_reference(dtype):
+    rng = np.random.default_rng(10)
+    edges = np.array([0.0, -0.0, 88.0, -88.0, 1e4, -1e4, 1e-30, -1e-30,
+                      np.inf, -np.inf], dtype=dtype)
+    for shape in ((6, 192), (1, 192), (6, 64), (3, 7)):
+        for scale in (1.0, 10.0, 100.0):
+            x = hostile(rng, shape, dtype, scale)
+            assert_bit_equal(nn._sigmoid(x), sigmoid_reference(x))
+    assert_bit_equal(nn._sigmoid(edges), sigmoid_reference(edges))
+    z = hostile(rng, (6, 256), dtype, 10.0)
+    view = z[:, :192]  # a strided view, as LSTMCell.step passes it
+    assert_bit_equal(nn._sigmoid(view), sigmoid_reference(view))
+
+
+# (c_in, c_out, stride, input size) of every conv layer of the RGB and the
+# disparity autoencoder at the learner's 32x32 input
+AUTOENCODER_CONVS = [
+    (3, 8, 2, 32), (1, 8, 2, 32), (8, 16, 2, 16), (16, 32, 2, 8),
+    (32, 16, 1, 8), (16, 8, 1, 16), (8, 3, 1, 32), (8, 1, 1, 32),
+]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", (64, 1))
+@pytest.mark.parametrize("c_in, c_out, stride, hw", AUTOENCODER_CONVS,
+                         ids=[f"{a}-{b}-s{s}" for a, b, s, _ in AUTOENCODER_CONVS])
+def test_conv_bit_equal_to_reference(c_in, c_out, stride, hw, n, dtype):
+    rng = np.random.default_rng([c_in, c_out, stride, n])
+    conv = nn.Conv2d(c_in, c_out, rng, stride=stride, dtype=dtype)
+    conv.b.value[...] = rng.normal(size=c_out)
+    with_random_grads(rng, [conv.W, conv.b])
+    ref = copy.deepcopy(conv)
+    x = hostile(rng, (n, hw, hw, c_in), dtype)
+    out = conv.forward(x)
+    out_ref, cols = conv_forward_reference(ref, x)
+    assert_bit_equal(out, out_ref)
+    dout = hostile(rng, out.shape, dtype)
+    dx = conv.backward(dout)
+    dx_ref = conv_backward_reference(ref, cols, x.shape, dout)
+    assert_bit_equal(dx, dx_ref)
+    assert_bit_equal(conv.W.grad, ref.W.grad)
+    assert_bit_equal(conv.b.grad, ref.b.grad)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_upsample_backward_bit_equal_to_reference(dtype):
+    rng = np.random.default_rng(11)
+    up = nn.Upsample2x()
+    for shape in ((64, 32, 32, 8), (64, 16, 16, 16), (1, 8, 8, 32), (2, 4, 6, 3)):
+        for scale in (1.0, 1e6):
+            dout = hostile(rng, shape, dtype, scale)
+            assert_bit_equal(up.backward(dout), upsample_backward_reference(dout))
+    # all four phases -0: the sum is +0
+    zeros = np.full((1, 4, 4, 2), -0.0, dtype=dtype)
+    assert_bit_equal(up.backward(zeros), upsample_backward_reference(zeros))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batch", (1, 2, 6))
+def test_lstm_window_bit_equal_to_reference(batch, dtype):
+    """Forward and backward through a 32-step window of the policy's 69 -> 64 cell."""
+    rng = np.random.default_rng([12, batch])
+    cell = nn.LSTMCell(69, 64, rng, dtype=dtype)
+    cell.b.value[...] += rng.normal(size=cell.b.value.shape)
+    with_random_grads(rng, [cell.Wx, cell.Wh, cell.b])
+    ref = copy.deepcopy(cell)
+    steps = 32
+    X = hostile(rng, (batch, steps, 69), dtype, 3.0)
+    h, c = cell.zero_state(batch)
+    h_ref, c_ref = h.copy(), c.copy()
+    caches, caches_ref = [], []
+    for t in range(steps):
+        h, c, cache = cell.step(X[:, t], h, c)
+        h_ref, c_ref, cache_ref = lstm_step_reference(ref, X[:, t], h_ref, c_ref)
+        assert_bit_equal(h, h_ref)
+        assert_bit_equal(c, c_ref)
+        caches.append(cache)
+        caches_ref.append(cache_ref)
+    dH = hostile(rng, (batch, steps, 64), dtype)
+    dh, dc = np.zeros_like(h), np.zeros_like(c)
+    dh_ref, dc_ref = dh.copy(), dc.copy()
+    for t in reversed(range(steps)):
+        dh, dc = cell.backward_step(dH[:, t] + dh, dc, caches[t])[-2:]
+        dh_ref, dc_ref = lstm_backward_step_reference(ref, dH[:, t] + dh_ref, dc_ref,
+                                                      caches_ref[t])
+        assert_bit_equal(dh, dh_ref)
+        assert_bit_equal(dc, dc_ref)
+    for p, p_ref in ((cell.Wx, ref.Wx), (cell.Wh, ref.Wh), (cell.b, ref.b)):
+        assert_bit_equal(p.grad, p_ref.grad)
+
+
+# ----------------------------------------------------------------------
+# what perfbench/tracer.py reads from the layers to name and size them
+
+
+def test_layer_attributes_read_by_the_benchmark_tracer():
+    rng = np.random.default_rng(13)
+    conv = nn.Conv2d(3, 8, rng, stride=2)
+    x = rng.normal(size=(2, 32, 32, 3)).astype(np.float32)
+    out = conv.forward(x)
+    conv.backward(np.ones_like(out))
+    assert (conv.c_in, conv.c_out, conv.stride, conv.k) == (3, 8, 2, 3)
+    assert conv._x_shape == x.shape
+    assert conv._out_hw(32, 32) == out.shape[1:3] == (16, 16)
+
+    cell = nn.LSTMCell(69, 64, rng)
+    assert (cell.n_in, cell.n_hidden) == (69, 64)
+    h, c = cell.zero_state(2)
+    xs = rng.normal(size=(2, 69)).astype(np.float32)
+    h, c, cache = cell.step(xs, h, c)
+    assert cache[0] is xs
+    # the tracer takes the cache as the third positional argument
+    cell.backward_step(np.ones_like(h), np.zeros_like(c), cache)
