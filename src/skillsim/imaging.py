@@ -19,8 +19,9 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 
 def _read_pnm(path, magic: bytes, maxval: bytes, dtype, channels: int) -> np.ndarray:
-    """Raster after the header lines `magic`, `W H`, `maxval`, as written here;
-    anything else raises ValueError naming the path and the offset."""
+    """Raster after the header lines `magic`, `W H`, `maxval`, as written here,
+    and nothing after it; anything else raises ValueError naming the path and
+    the offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
     parts = blob.split(b"\n", 3)
@@ -36,9 +37,12 @@ def _read_pnm(path, magic: bytes, maxval: bytes, dtype, channels: int) -> np.nda
         raise ValueError(f"{path}: bad maxval {top[:8]!r} at offset {len(head) + len(dims) + 2}")
     w, h = int(size[1]), int(size[2])
     count = h * w * channels
-    if len(raster) < count * np.dtype(dtype).itemsize:
-        raise ValueError(f"{path}: truncated raster at offset {len(blob) - len(raster)}: "
+    start, size = len(blob) - len(raster), count * np.dtype(dtype).itemsize
+    if len(raster) < size:
+        raise ValueError(f"{path}: truncated raster at offset {start}: "
                          f"need {count} samples of {h}x{w}x{channels}")
+    if len(raster) > size:
+        raise ValueError(f"{path}: {len(raster) - size} trailing bytes at offset {start + size}")
     return np.frombuffer(raster, dtype=dtype, count=count).reshape(h, w, channels).copy()
 
 

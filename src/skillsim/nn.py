@@ -8,6 +8,7 @@ dtype; float64 is used for finite-difference gradient verification.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class TrainingDiverged(RuntimeError):
@@ -93,21 +94,45 @@ class Reshape:
 
 
 class Upsample2x:
-    """Nearest-neighbor 2x upsampling over (N, H, W, C)."""
+    """Nearest-neighbor 2x upsampling over (N, H, W, C).
+
+    backward adds the four phases of each 2x2 block into a zeroed buffer in
+    the order (0,0), (0,1), (1,0), (1,1). That is the order and the +0 start
+    of `sum(axis=(2, 4))` over the phase axes, so its bits are the same:
+    four -0 phases give +0.
+    """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x.repeat(2, axis=1).repeat(2, axis=2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         n, h2, w2, c = dout.shape
-        return dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
+        phases = dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c)
+        dx = np.zeros((n, h2 // 2, w2 // 2, c), dtype=dout.dtype)
+        for a in range(2):
+            for b in range(2):
+                dx += phases[:, :, a, :, b]
+        return dx
 
     def named_params(self, prefix: str):
         return []
 
 
 class Conv2d:
-    """3x3 convolution over NHWC via im2col, zero padding of 1."""
+    """3x3 convolution over NHWC via im2col, zero padding of 1.
+
+    Exactness contract (tests/test_nn.py pins it to frozen copies of the
+    earlier kernels, bit for bit):
+    - forward copies the strided window view of the padded input into the
+      im2col matrix, one row per output pixel and columns in (di, dj,
+      channel) order, and returns `cols @ W + b`.
+    - backward adds `cols.T @ dout` to W's gradient and dout's column sums
+      to b's. The input gradient of all nine taps comes from one tap-major
+      product `W @ dout.T`, the transpose of `dout @ W.T`, which gives the
+      same bits on every layer shape of the autoencoders. The taps are added
+      into a zeroed padded buffer in (di, dj) order, so every input pixel
+      sums its taps in that order, starting from +0.
+    """
 
     k = 3
     pad = 1
@@ -131,13 +156,11 @@ class Conv2d:
         n, h, w, c = x.shape
         ho, wo = self._out_hw(h, w)
         k, s, p = self.k, self.stride, self.pad
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-        cols = np.empty((n, ho, wo, k * k * c), dtype=x.dtype)
-        for di in range(k):
-            for dj in range(k):
-                patch = xp[:, di:di + ho * s:s, dj:dj + wo * s:s, :]
-                cols[..., (di * k + dj) * c:(di * k + dj + 1) * c] = patch
-        self._cols = cols.reshape(-1, k * k * c)
+        xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        xp[:, p:p + h, p:p + w] = x
+        # (n, ho, wo, c, k, k) windows, copied to (n, ho, wo, k, k, c) order
+        windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+        self._cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * c)
         self._x_shape = x.shape
         out = self._cols @ self.W.value + self.b.value
         return out.reshape(n, ho, wo, self.c_out)
@@ -149,13 +172,12 @@ class Conv2d:
         d2 = dout.reshape(-1, self.c_out)
         self.W.grad += self._cols.T @ d2
         self.b.grad += d2.sum(axis=0)
-        dcols = (d2 @ self.W.value.T).reshape(n, ho, wo, k * k * c)
-        dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dout.dtype)
+        taps = (self.W.value @ d2.T).reshape(k * k, c, n, ho, wo)
+        dxp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
         for di in range(k):
             for dj in range(k):
-                dxp[:, di:di + ho * s:s, dj:dj + wo * s:s, :] += \
-                    dcols[..., (di * k + dj) * c:(di * k + dj + 1) * c]
-        return dxp[:, p:p + h, p:p + w, :]
+                dxp[:, :, di:di + ho * s:s, dj:dj + wo * s:s] += taps[di * k + dj]
+        return dxp[:, :, p:p + h, p:p + w].transpose(1, 2, 3, 0)
 
     def named_params(self, prefix: str):
         return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]
@@ -183,20 +205,28 @@ class Sequential:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow. With e = exp(-|x|), it is
+    1 / (1 + e) where x >= 0, -0 included, and e / (1 + e) elsewhere: per
+    element the operations of exp(-x) and exp(x) on the two sides of 0."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class LSTMCell:
     """Single recurrent cell with input/forget/output/candidate gates.
 
-    Gate pre-activations are x @ Wx + h @ Wh + b with the four gates packed
-    along the last axis in (i, f, o, g) order. step() returns the new hidden
-    and cell state plus a cache consumed by backward_step().
+    Gate pre-activations are z = x @ Wx + h @ Wh + b, summed left to right,
+    with the four gates packed along the last axis in (i, f, o, g) order.
+    step() applies one sigmoid to the (i, f, o) block and tanh to g, and
+    returns the new hidden and cell state plus a cache, whose first element
+    is the input x, for backward_step(). backward_step() adds x.T @ dz,
+    h.T @ dz and dz's column sums to the gradients, one step at a time, and
+    returns the gradients of the previous h and c. No caller needs one for x,
+    so none is formed.
+
+    x @ Wx is formed per step, not once per window: at batch 1 it runs as a
+    matrix-vector product, whose bits differ from those of the matching rows
+    of one window-wide product.
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator, dtype=np.float32):
@@ -215,9 +245,8 @@ class LSTMCell:
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
         nh = self.n_hidden
         z = x @ self.Wx.value + h @ self.Wh.value + self.b.value
-        i = _sigmoid(z[:, :nh])
-        f = _sigmoid(z[:, nh:2 * nh])
-        o = _sigmoid(z[:, 2 * nh:3 * nh])
+        ifo = _sigmoid(z[:, :3 * nh])
+        i, f, o = ifo[:, :nh], ifo[:, nh:2 * nh], ifo[:, 2 * nh:]
         g = np.tanh(z[:, 3 * nh:])
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
@@ -242,9 +271,8 @@ class LSTMCell:
         self.Wx.grad += x.T @ dz
         self.Wh.grad += h.T @ dz
         self.b.grad += dz.sum(axis=0)
-        dx = dz @ self.Wx.value.T
         dh_prev = dz @ self.Wh.value.T
-        return dx, dh_prev, dc_prev
+        return dh_prev, dc_prev
 
     def named_params(self, prefix: str):
         return [(f"{prefix}.Wx", self.Wx), (f"{prefix}.Wh", self.Wh), (f"{prefix}.b", self.b)]

@@ -164,7 +164,7 @@ def predictor_window_pass(predictor: Predictor, X, Y, M, h, c, compute_grads=Tru
         dh_next = np.zeros_like(h)
         dc_next = np.zeros_like(c)
         for step in reversed(range(t)):
-            _, dh_next, dc_next = predictor.cell.backward_step(
+            dh_next, dc_next = predictor.cell.backward_step(
                 dh_seq[:, step] + dh_next, dc_next, caches[step])
     return sumsq, n_valid, (h, c)
 

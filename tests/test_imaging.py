@@ -63,7 +63,10 @@ def test_block_mean_channels_and_identity():
     (b"P6\n4 4\n65535\n", read_ppm, r"bad maxval b'65535' at offset 7"),
     (b"P6\n4 4\n255\n" + bytes(47), read_ppm, r"truncated raster at offset 11"),
     (b"P6\n4 4\n255\n" + bytes(48), read_pgm16, r"bad magic b'P6' at offset 0"),
-], ids=["short-header", "non-numeric-size", "wrong-maxval", "short-raster", "wrong-magic"])
+    (b"P6\n2 2\n255\n" + bytes(12) + b"garbage", read_ppm, r"7 trailing bytes at offset 23"),
+    (b"P5\n2 1\n65535\n" + bytes(5), read_pgm16, r"1 trailing bytes at offset 17"),
+], ids=["short-header", "non-numeric-size", "wrong-maxval", "short-raster", "wrong-magic",
+        "trailing-ppm", "trailing-pgm"])
 def test_pnm_malformed_names_path_and_offset(tmp_path, blob, reader, message):
     path = tmp_path / "bad.pnm"
     path.write_bytes(blob)
