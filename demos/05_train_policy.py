@@ -5,12 +5,11 @@ recurrent one-step predictor at a reduced budget, and saves the models to
 demos_out/models/. Takes a couple of minutes on a laptop CPU.
 """
 
-import json
 import time
 from pathlib import Path
 
 from skillsim import World, run_expert
-from skillsim.dataset import compute_norm_stats, record
+from skillsim.dataset import compute_norm_stats, record, save_stats
 from skillsim.models import save_model
 from skillsim.scene import make_short_scene
 from skillsim.training import TrainConfig, train_autoencoder, train_predictor, write_loss_csv
@@ -43,6 +42,6 @@ print(f"predictor: loss {pred_losses[0]:.4f} -> {pred_losses[-1]:.6f} "
 save_model(out_dir / "autoencoder_rgb.sklm", enc_rgb)
 save_model(out_dir / "autoencoder_disparity.sklm", enc_disp)
 save_model(out_dir / "predictor.sklm", predictor)
-(out_dir / "norm_stats.json").write_text(json.dumps(stats.to_dict(), indent=1))
+save_stats(out_dir / "norm_stats.json", stats)
 write_loss_csv(out_dir / "loss_predictor.csv", pred_losses)
 print(f"saved models and stats to {out_dir}")

@@ -5,11 +5,10 @@ the simulator from the policy's one-step state predictions, reporting
 touch/grasp outcomes per scene.
 """
 
-import json
 import sys
 from pathlib import Path
 
-from skillsim.dataset import NormStats
+from skillsim.dataset import load_stats
 from skillsim.evaluate import Scenario, evaluate_suite, reports_to_csv
 from skillsim.models import PolicyBundle, load_model
 from skillsim.scene import make_short_scene
@@ -22,7 +21,7 @@ bundle = PolicyBundle(
     enc_rgb=load_model(model_dir / "autoencoder_rgb.sklm"),
     enc_disp=load_model(model_dir / "autoencoder_disparity.sklm"),
     predictor=load_model(model_dir / "predictor.sklm"),
-    stats=NormStats.from_dict(json.loads((model_dir / "norm_stats.json").read_text())),
+    stats=load_stats(model_dir / "norm_stats.json"),
 )
 
 scenarios = [Scenario(f"scene{seed}", make_short_scene(seed), "short")

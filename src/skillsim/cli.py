@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_run_config
-from .dataset import (DatasetError, NormStats, compute_norm_stats, episode_dirs,
-                      load_dataset, load_episode, record, save_episode)
+from .dataset import (DatasetError, compute_norm_stats, episode_dirs, load_dataset,
+                      load_episode, load_stats, record, save_episode, save_stats)
 from .evaluate import Scenario, evaluate_suite, reports_to_csv
 from .expert import run_expert
 from .imaging import write_pgm16, write_ppm
@@ -129,19 +129,12 @@ def _load_training_episodes(dataset_dir):
     return episodes
 
 
-def _load_stats(model_dir: FsPath) -> NormStats:
-    path = model_dir / STATS_FILE
-    if not path.exists():
-        raise CliError(f"missing {path}; run train-autoencoder first")
-    return NormStats.from_dict(json.loads(path.read_text()))
-
-
 def cmd_train_autoencoder(args, runcfg: RunConfig) -> int:
     episodes = _load_training_episodes(args.dataset)
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stats = compute_norm_stats(episodes)
-    (out / STATS_FILE).write_text(json.dumps(stats.to_dict(), sort_keys=True, indent=1))
+    save_stats(out / STATS_FILE, stats)
     cfg = runcfg.train_config(seed=args.seed)
     ae, losses = train_autoencoder(episodes, args.modality, stats, cfg)
     save_model(out / MODEL_FILES[args.modality], ae)
@@ -159,9 +152,9 @@ def cmd_train_autoencoder(args, runcfg: RunConfig) -> int:
 def cmd_train(args, runcfg: RunConfig) -> int:
     episodes = _load_training_episodes(args.dataset)
     model_dir = FsPath(args.models)
-    stats = _load_stats(model_dir)
-    enc_rgb = _load_model_file(model_dir / MODEL_FILES["rgb"])
-    enc_disp = _load_model_file(model_dir / MODEL_FILES["disparity"])
+    stats = load_stats(model_dir / STATS_FILE)
+    enc_rgb = load_model(model_dir / MODEL_FILES["rgb"])
+    enc_disp = load_model(model_dir / MODEL_FILES["disparity"])
     cfg = runcfg.train_config(seed=args.seed)
     predictor, losses = train_predictor(episodes, enc_rgb, enc_disp, stats, cfg)
     save_model(model_dir / MODEL_FILES["predictor"], predictor)
@@ -179,18 +172,12 @@ def cmd_train(args, runcfg: RunConfig) -> int:
     return 0
 
 
-def _load_model_file(path: FsPath):
-    if not path.exists():
-        raise CliError(f"missing model file {path}")
-    return load_model(path)
-
-
 def load_bundle(model_dir) -> PolicyBundle:
     model_dir = FsPath(model_dir)
-    stats = _load_stats(model_dir)
-    enc_rgb = _load_model_file(model_dir / MODEL_FILES["rgb"])
-    enc_disp = _load_model_file(model_dir / MODEL_FILES["disparity"])
-    predictor = _load_model_file(model_dir / MODEL_FILES["predictor"])
+    stats = load_stats(model_dir / STATS_FILE)
+    enc_rgb = load_model(model_dir / MODEL_FILES["rgb"])
+    enc_disp = load_model(model_dir / MODEL_FILES["disparity"])
+    predictor = load_model(model_dir / MODEL_FILES["predictor"])
     return PolicyBundle(enc_rgb, enc_disp, predictor, stats)
 
 

@@ -10,26 +10,10 @@ from pathlib import Path as FsPath
 from .evaluate import MAX_STEPS
 from .expert import ExpertParams
 from .perception import PerceptionParams
-from .scene import DISTRACTORS, LONG_OBJECT_HALF_EXTENT, SHORT_OBJECT_HALF_EXTENT
+from .scene import (DISTRACTORS, LONG_OBJECT_HALF_EXTENT, SHORT_OBJECT_HALF_EXTENT, bounded,
+                    finite_float, one_of)
 from .sim import DEPTH_NOISE_SIGMA
 from .training import TrainConfig
-
-
-def _bounded(kind, low=None):
-    def parse(text: str):
-        value = kind(text)
-        if low is not None and value <= low:
-            raise ValueError(f"must be > {low}")
-        return value
-    return parse
-
-
-def _choice(*options):
-    def parse(text: str):
-        if text not in options:
-            raise ValueError(f"must be one of {options}")
-        return text
-    return parse
 
 
 # every default lives in the module that uses it; REGISTRY only reads it
@@ -38,31 +22,31 @@ _E, _P, _T = ExpertParams(), PerceptionParams(), TrainConfig()
 # key -> (default, parser, help)
 REGISTRY = {
     "scene.distractors": (DISTRACTORS, int, "extra boxes per scene"),
-    "scene.short_object_half_extent": (SHORT_OBJECT_HALF_EXTENT, _bounded(float, 0.0), "short-variant object half extent (m)"),
-    "scene.long_object_half_extent": (LONG_OBJECT_HALF_EXTENT, _bounded(float, 0.0), "long-variant object half extent (m)"),
-    "sim.depth_noise_sigma": (DEPTH_NOISE_SIGMA, float, "depth noise std (m), 0 disables"),
-    "perception.leaf": (_P.leaf, _bounded(float, 0.0), "voxel edge length (m)"),
-    "perception.k_neighbors": (_P.k_neighbors, _bounded(int, 0), "outlier filter neighbor count"),
-    "perception.alpha": (_P.alpha, float, "outlier filter stddev multiplier"),
-    "perception.color_threshold": (_P.color_threshold, _bounded(float, 0.0), "RGB segmentation distance"),
-    "expert.standoff_m": (_E.standoff_m, _bounded(float, 0.0), "navigation standoff from the object (m)"),
-    "expert.pregrasp_offset_m": (_E.pregrasp_offset_m, _bounded(float, 0.0), "pre-grasp height above the object (m)"),
-    "expert.lift_height_m": (_E.lift_height_m, _bounded(float, 0.0), "lift height after grasping (m)"),
-    "expert.locate_noise_sigma": (_E.locate_noise_sigma, float, "short-variant localization noise std (m)"),
-    "expert.yaw_jitter_rad": (_E.yaw_jitter_rad, float, "approach bearing jitter amplitude (rad)"),
-    "expert.yaw_jitter": (_E.yaw_jitter, _choice("auto", "on", "off"), "jitter mode (auto: long only)"),
-    "expert.max_ticks": (_E.max_ticks, _bounded(int, 0), "expert tick budget"),
-    "learner.epochs": (_T.epochs, _bounded(int, 0), "predictor training epochs"),
-    "learner.ae_epochs": (_T.ae_epochs, _bounded(int, 0), "autoencoder training epochs"),
-    "learner.batch": (_T.batch, _bounded(int, 0), "autoencoder minibatch size"),
-    "learner.lr": (_T.lr, _bounded(float, 0.0), "Adam learning rate"),
-    "learner.grad_clip": (_T.grad_clip, _bounded(float, 0.0), "gradient L2 clip"),
-    "learner.tbptt": (_T.tbptt, _bounded(int, 0), "truncated BPTT window"),
-    "learner.downscale": (_T.downscale, _bounded(int, 0), "image downscale factor at the learner"),
-    "learner.latent": (_T.latent, _bounded(int, 0), "autoencoder latent size"),
-    "learner.hidden": (_T.hidden, _bounded(int, 0), "recurrent hidden size"),
-    "learner.frame_stride": (_T.frame_stride, _bounded(int, 0), "autoencoder frame subsampling stride"),
-    "eval.max_steps": (MAX_STEPS, _bounded(int, 0), "rollout step budget"),
+    "scene.short_object_half_extent": (SHORT_OBJECT_HALF_EXTENT, bounded(finite_float, 0.0), "short-variant object half extent (m)"),
+    "scene.long_object_half_extent": (LONG_OBJECT_HALF_EXTENT, bounded(finite_float, 0.0), "long-variant object half extent (m)"),
+    "sim.depth_noise_sigma": (DEPTH_NOISE_SIGMA, finite_float, "depth noise std (m), 0 disables"),
+    "perception.leaf": (_P.leaf, bounded(finite_float, 0.0), "voxel edge length (m)"),
+    "perception.k_neighbors": (_P.k_neighbors, bounded(int, 0), "outlier filter neighbor count"),
+    "perception.alpha": (_P.alpha, finite_float, "outlier filter stddev multiplier"),
+    "perception.color_threshold": (_P.color_threshold, bounded(finite_float, 0.0), "RGB segmentation distance"),
+    "expert.standoff_m": (_E.standoff_m, bounded(finite_float, 0.0), "navigation standoff from the object (m)"),
+    "expert.pregrasp_offset_m": (_E.pregrasp_offset_m, bounded(finite_float, 0.0), "pre-grasp height above the object (m)"),
+    "expert.lift_height_m": (_E.lift_height_m, bounded(finite_float, 0.0), "lift height after grasping (m)"),
+    "expert.locate_noise_sigma": (_E.locate_noise_sigma, finite_float, "short-variant localization noise std (m)"),
+    "expert.yaw_jitter_rad": (_E.yaw_jitter_rad, finite_float, "approach bearing jitter amplitude (rad)"),
+    "expert.yaw_jitter": (_E.yaw_jitter, one_of("auto", "on", "off"), "jitter mode (auto: long only)"),
+    "expert.max_ticks": (_E.max_ticks, bounded(int, 0), "expert tick budget"),
+    "learner.epochs": (_T.epochs, bounded(int, 0), "predictor training epochs"),
+    "learner.ae_epochs": (_T.ae_epochs, bounded(int, 0), "autoencoder training epochs"),
+    "learner.batch": (_T.batch, bounded(int, 0), "autoencoder minibatch size"),
+    "learner.lr": (_T.lr, bounded(finite_float, 0.0), "Adam learning rate"),
+    "learner.grad_clip": (_T.grad_clip, bounded(finite_float, 0.0), "gradient L2 clip"),
+    "learner.tbptt": (_T.tbptt, bounded(int, 0), "truncated BPTT window"),
+    "learner.downscale": (_T.downscale, bounded(int, 0), "image downscale factor at the learner"),
+    "learner.latent": (_T.latent, bounded(int, 0), "autoencoder latent size"),
+    "learner.hidden": (_T.hidden, bounded(int, 0), "recurrent hidden size"),
+    "learner.frame_stride": (_T.frame_stride, bounded(int, 0), "autoencoder frame subsampling stride"),
+    "eval.max_steps": (MAX_STEPS, bounded(int, 0), "rollout step budget"),
 }
 
 
@@ -131,7 +115,11 @@ def load_run_config(config_file=None, overrides=()) -> RunConfig:
         path = FsPath(config_file)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

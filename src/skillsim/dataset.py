@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 
 import numpy as np
 
 from .expert import ExpertTranscript
-from .scene import config_from_dict, config_to_dict
+from .scene import bounded, config_from_dict, config_to_dict, finite_float, one_of, reader, vec
 from .sim import BaseCommand, World
 
 SCHEMA_VERSION = 1
@@ -123,10 +123,10 @@ def save_episode(episode: Episode, dirpath) -> None:
         fh.write(records.tobytes())
 
 
-def _key(mapping, key, path, where=""):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise DatasetError(f"{path}: manifest lacks key {where}{key!r}")
-    return mapping[key]
+def _count(value) -> int:
+    if type(value) is not int or value < 0:  # bool is not a count
+        raise ValueError(f"{value!r} is not a non-negative integer")
+    return value
 
 
 def load_episode(dirpath) -> Episode:
@@ -138,14 +138,22 @@ def load_episode(dirpath) -> Episode:
         manifest = json.loads(mpath.read_text())
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a bad byte
         raise DatasetError(f"{mpath}: not valid JSON: {exc}") from None
-    if _key(manifest, "schema_version", mpath) != SCHEMA_VERSION:
-        raise DatasetError(f"{mpath}: unsupported dataset version "
-                           f"{manifest['schema_version']!r}")
-    n = _key(manifest, "steps", mpath)
-    dims = _key(manifest, "dims", mpath)
-    h, w, cmd = (_key(dims, k, mpath, "dims.") for k in ("height", "width", "cmd"))
-    has_cmd = cmd == 2
-    dtype = steps_dtype(h, w, has_cmd)
+    try:
+        read = reader(manifest, ("schema_version", "variant", "steps", "dims", "dt", "seed",
+                                 "outcome", "scene"), "")
+        version = read("schema_version", _count)
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported dataset version {version}")
+        variant = read("variant", one_of("short", "long"))
+        n = read("steps", _count)
+        dims = reader(read("dims"), ("state", "cmd", "height", "width"), "dims.")
+        has_cmd = variant == "long"
+        dims("cmd", one_of(2 if has_cmd else 0))
+        dtype = steps_dtype(dims("height", _count), dims("width", _count), has_cmd)
+        seed, outcome = read("seed", _count), read("outcome", one_of("DONE", "FAILED"))
+        scene = read("scene", config_from_dict)
+    except ValueError as exc:
+        raise DatasetError(f"{mpath}: {exc}") from None
 
     spath = d / "steps.bin"
     blob = spath.read_bytes()
@@ -157,22 +165,16 @@ def load_episode(dirpath) -> Episode:
     (count,) = struct.unpack_from("<I", blob, 8)
     if count != n:
         raise DatasetError(f"{spath}: step count {count} does not match manifest {n}")
-
-    scene = _key(manifest, "scene", mpath)
-    try:
-        scene = config_from_dict(scene)
-    except ValueError as exc:
-        raise DatasetError(f"{mpath}: {exc}") from None
     records = np.frombuffer(blob, dtype, count=n, offset=12)
     return Episode(
         states=records["state"].copy(),
         cmds=records["cmd"].copy() if has_cmd else None,
         rgb=records["rgb"].copy(),
         disparity=records["disparity"].copy(),
-        variant=_key(manifest, "variant", mpath),
+        variant=variant,
         scene=scene,
-        outcome=_key(manifest, "outcome", mpath),
-        seed=int(_key(manifest, "seed", mpath)),
+        outcome=outcome,
+        seed=seed,
     )
 
 
@@ -238,19 +240,35 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
-        opt = lambda v, dt: None if v is None else np.array(v, dtype=dt)
+        """Decode to_dict's output; a bad key raises ValueError naming it."""
+        read = reader(d, [f.name for f in fields(cls)], "")
+        cmd = one_of(None) if read("cmd_min") is None else vec(2)  # all three keys alike
+        cmd_flags = read("cmd_flags", cmd)
         return cls(
-            state_min=np.array(d["state_min"], dtype=float),
-            state_max=np.array(d["state_max"], dtype=float),
-            state_flags=np.array(d["state_flags"], dtype=bool),
-            cmd_min=opt(d["cmd_min"], float),
-            cmd_max=opt(d["cmd_max"], float),
-            cmd_flags=opt(d["cmd_flags"], bool),
-            image_mean=np.array(d["image_mean"], dtype=float),
-            image_std=np.array(d["image_std"], dtype=float),
-            disp_mean=float(d["disp_mean"]),
-            disp_std=float(d["disp_std"]),
+            state_min=read("state_min", vec(5)),
+            state_max=read("state_max", vec(5)),
+            state_flags=read("state_flags", vec(5)) != 0,
+            cmd_min=read("cmd_min", cmd),
+            cmd_max=read("cmd_max", cmd),
+            cmd_flags=None if cmd_flags is None else cmd_flags != 0,
+            image_mean=read("image_mean", vec(3)),
+            image_std=read("image_std", bounded(vec(3), 0.0)),
+            disp_mean=read("disp_mean", finite_float),
+            disp_std=read("disp_std", bounded(finite_float, 0.0)),
         )
+
+
+def save_stats(path, stats: NormStats) -> None:
+    FsPath(path).write_text(json.dumps(stats.to_dict(), sort_keys=True, indent=1))
+
+
+def load_stats(path) -> NormStats:
+    try:
+        return NormStats.from_dict(json.loads(FsPath(path).read_text()))
+    except FileNotFoundError:
+        raise DatasetError(f"missing {path}; run train-autoencoder first") from None
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _min_max(mat: np.ndarray):

@@ -9,14 +9,18 @@ data); integer architecture metadata rides in reserved "meta/" entries.
 
 from __future__ import annotations
 
+import inspect
+import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path as FsPath
 
 import numpy as np
 
 from . import nn
 from .dataset import NormStats, normalize_state
 from .imaging import block_mean
+from .scene import one_of, reader
 
 MODEL_MAGIC = b"SKLMODL1"
 MODEL_VERSION = 1
@@ -125,8 +129,10 @@ def save_model(path, model) -> None:
 
 
 def _read_entries(path) -> dict:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        blob = FsPath(path).read_bytes()
+    except FileNotFoundError:
+        raise ModelError(f"missing model file {path}") from None
     if blob[:8] != MODEL_MAGIC:
         raise ModelError(f"{path}: not a model file (bad magic)")
     off = 8
@@ -147,10 +153,15 @@ def _read_entries(path) -> dict:
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", blob, need(2))
         start = need(name_len)
-        name = blob[start:off].decode()
+        try:
+            name = blob[start:off].decode()
+        except UnicodeDecodeError:
+            raise ModelError(f"{path}: entry name at offset {start} is not UTF-8") from None
         (ndim,) = struct.unpack_from("<B", blob, need(1))
+        if ndim > 32:  # numpy's lowest rank limit; parameters have at most 4 dimensions
+            raise ModelError(f"{path}: {ndim} dimensions at offset {off - 1}")
         shape = struct.unpack_from(f"<{ndim}I", blob, need(4 * ndim))
-        size = int(np.prod(shape)) if ndim else 1
+        size = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f4", count=size, offset=need(4 * size))
         entries[name] = arr.reshape(shape).copy()
     if off != len(blob):
@@ -158,17 +169,24 @@ def _read_entries(path) -> dict:
     return entries
 
 
+def _meta_int(value: np.ndarray) -> int:
+    if value.shape != (1,) or not (value[0] >= 1 and float(value[0]).is_integer()):
+        raise ValueError(f"{value.tolist()} is not one integer >= 1")
+    return int(value[0])
+
+
 def load_model(path):
     entries = _read_entries(path)
-    meta = {k.split("/", 1)[1]: int(v[0]) for k, v in entries.items()
-            if k.startswith("meta/")}
-    kind = meta.get("kind")
-    if kind == 1:
-        model = Autoencoder(meta["channels"], meta["hw"], meta["latent"])
-    elif kind == 2:
-        model = Predictor(meta["latent"], meta["d_state"], meta["hidden"])
-    else:
-        raise ModelError(f"{path}: unknown model kind {kind!r}")
+    meta = {name[5:]: v for name, v in entries.items() if name.startswith("meta/")}
+    try:
+        # any keys until the kind is known, then exactly the arguments meta() writes
+        kind = reader(meta, meta, "meta/")("kind", lambda v: one_of(1, 2)(_meta_int(v)))
+        cls = {1: Autoencoder, 2: Predictor}[kind]
+        args = [p.name for p in inspect.signature(cls).parameters.values() if p.default is p.empty]
+        read = reader(meta, ["kind", *args], "meta/")
+        model = cls(**{name: read(name, _meta_int) for name in args})
+    except ValueError as exc:
+        raise ModelError(f"{path}: {exc}") from None
     for name, p in model.named_params():
         if name not in entries:
             raise ModelError(f"{path}: missing parameter {name}")

@@ -7,7 +7,6 @@ are pure functions of their inputs.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,32 +156,3 @@ def locate_object(frame, target_color: np.ndarray, params: PerceptionParams | No
     segment = color_segment(cleaned, target_color, params.color_threshold)
     return centroid(segment)
 
-
-# ----------------------------------------------------------------------
-# binary cloud persistence: magic "PCLD0001", u32 count, per point 6 x f32
-
-CLOUD_MAGIC = b"PCLD0001"
-
-
-def save_cloud(path, cloud: PointCloud) -> None:
-    data = np.concatenate([cloud.positions, cloud.colors], axis=1).astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(CLOUD_MAGIC)
-        fh.write(struct.pack("<I", len(cloud)))
-        fh.write(data.tobytes())
-
-
-def load_cloud(path) -> PointCloud:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != CLOUD_MAGIC:
-        raise ValueError(f"{path}: not a point cloud file (bad magic at offset 0)")
-    if len(blob) < 12:
-        raise ValueError(f"{path}: truncated at offset 8: need 4 bytes for the point count, "
-                         f"{len(blob) - 8} left")
-    (count,) = struct.unpack_from("<I", blob, 8)
-    expected = 12 + count * 24
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {len(blob)} (offset 12)")
-    flat = np.frombuffer(blob, dtype="<f4", offset=12).reshape(count, 6).astype(float)
-    return PointCloud(flat[:, :3], flat[:, 3:])

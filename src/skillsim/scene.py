@@ -159,74 +159,92 @@ def config_to_dict(config: WorldConfig) -> dict:
     }
 
 
-def _float(value) -> float:
+def finite_float(value) -> float:
     x = float(value)
     if not np.isfinite(x):
         raise ValueError(f"{value!r} is not finite")
     return x
 
 
-def _vec(value) -> np.ndarray:
-    return np.array([_float(v) for v in (value.split() if isinstance(value, str) else value)])
+def vec(n: int):
+    """A parser of exactly `n` finite floats, from a list or space-separated text."""
+    def parse(value) -> np.ndarray:
+        v = np.array([finite_float(x) for x in (value.split() if isinstance(value, str) else value)])
+        if v.shape != (n,):
+            raise ValueError(f"{v.size} values, expected {n}")
+        return v
+    return parse
 
 
-def _reader(mapping, names, prefix: str):
-    """A function reading one key of `mapping`, which may hold only `names`.
+def one_of(*options):
+    def parse(value):  # 1.0 and True are not 1
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ValueError(f"{value!r} is not one of {options}")
+        return value
+    return parse
 
-    Errors name a key as a scene file spells it: `prefix` + its text key.
-    """
+
+def bounded(parse, low):
+    def check(value):
+        x = parse(value)
+        if np.any(x <= low):
+            raise ValueError(f"must be > {low}")
+        return x
+    return check
+
+
+def reader(mapping, names, prefix: str):
+    """A function reading one key of `mapping`, which may hold only `names`. A missing,
+    unknown or unconvertible key raises ValueError naming it: `prefix` + its scene-file key."""
     if not isinstance(mapping, dict):
-        raise ValueError(f"scene: {prefix[:-1] or 'scene'!r} is not a mapping")
+        raise ValueError(f"{prefix[:-1]!r} is not a mapping" if prefix else "not a mapping")
     unknown = sorted(prefix + _TEXT_KEYS.get(k, k) for k in set(mapping) - set(names))
     if unknown:
-        raise ValueError(f"scene: unknown keys {unknown}")
+        raise ValueError(f"unknown keys {unknown}")
 
     def read(key, convert=lambda v: v, default=...):
         name = prefix + _TEXT_KEYS.get(key, key)
         if key not in mapping:
             if default is ...:
-                raise ValueError(f"scene: missing key {name!r}")
+                raise ValueError(f"missing key {name!r}")
             return default
         try:
             return convert(mapping[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"scene: bad value for {name!r}: {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"bad value for {name!r}: {exc}") from None
 
     return read
 
 
 def config_from_dict(d: dict) -> WorldConfig:
     """Decode config_to_dict's output; any leaf may also be its scene-file text.
-
-    A missing, unknown, unreadable or non-finite key raises ValueError naming
-    it in scene-file spelling (`table.center`, `object.box0.color`).
-    """
-    read = _reader(d, [f.name for f in fields(WorldConfig)], "")
+    Vectors hold 3 values, joints 5; `reader` names a bad key (`object.box0.color`)."""
+    read = reader(d, [f.name for f in fields(WorldConfig)], "")
     cam_fields = fields(CameraIntrinsics)
-    cam = _reader(read("camera"), [f.name for f in cam_fields], "camera.")
+    cam = reader(read("camera"), [f.name for f in cam_fields], "camera.")
     objects = []
     for i, o in enumerate(read("objects", list)):
         name = o.get("id", i) if isinstance(o, dict) else i
-        obj = _reader(o, ("id", "center", "half_extents", "color"), f"object.{name}.")
-        objects.append(ObjectSpec(obj("id", str), obj("center", _vec),
-                                  obj("half_extents", _vec), obj("color", _vec)))
+        obj = reader(o, ("id", "center", "half_extents", "color"), f"object.{name}.")
+        objects.append(ObjectSpec(obj("id", str), obj("center", vec(3)),
+                                  obj("half_extents", vec(3)), obj("color", vec(3))))
     boxes = []
     for i, b in enumerate(read("obstacle_boxes", list)):
-        box = _reader(b, ("center", "half_extents"), f"obstacle.{i}.")
-        boxes.append(Box(box("center", _vec), box("half_extents", _vec)))
+        box = reader(b, ("center", "half_extents"), f"obstacle.{i}.")
+        boxes.append(Box(box("center", vec(3)), box("half_extents", vec(3))))
     return WorldConfig(
-        table_center=read("table_center", _vec),
-        table_size=read("table_size", _vec),
+        table_center=read("table_center", vec(3)),
+        table_size=read("table_size", vec(3)),
         objects=objects,
         obstacle_boxes=boxes,
         camera=CameraIntrinsics(**{
-            f.name: cam(f.name, _float if isinstance(f.default, float) else type(f.default))
+            f.name: cam(f.name, finite_float if isinstance(f.default, float) else int)
             for f in cam_fields}),
         rng_seed=read("rng_seed", int),
-        dt=read("dt", _float),
-        depth_noise_sigma=read("depth_noise_sigma", _float),
-        robot_start=read("robot_start", _vec),
-        robot_joints=read("robot_joints", _vec),
+        dt=read("dt", finite_float),
+        depth_noise_sigma=read("depth_noise_sigma", finite_float),
+        robot_start=read("robot_start", vec(3)),
+        robot_joints=read("robot_joints", vec(5)),
         target_id=read("target_id", lambda v: None if v is None else str(v), None),
     )
 
@@ -275,7 +293,7 @@ def config_from_text(text: str) -> WorldConfig:
             groups[head].setdefault(name, {})[attr] = value
         elif key in _TEXT_KEYS or key in ("camera", "objects", "obstacle_boxes"):
             # manifest spellings, never a scene-file key
-            raise ValueError(f"scene: unknown keys {[key]}")
+            raise ValueError(f"unknown keys {[key]}")
         else:
             d[_DICT_KEYS.get(key, key)] = value
     d["objects"] = [{"id": oid, **attrs} for oid, attrs in groups["object"].items()]

@@ -281,7 +281,7 @@ def gradcheck(kind: str, seed: int = 0) -> GradCheckResult:
         err = float(np.max(np.abs(analytic - numeric)))
         return GradCheckResult(kind, err, threshold=1e-9)
 
-    if kind in ("lstm", "predictor"):
+    if kind == "lstm":
         pred = Predictor(latent=2, d_state=3, hidden=5, rng=rng, dtype=f64)
         steps = 5
         X = rng.normal(size=(2, steps, pred.n_in))

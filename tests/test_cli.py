@@ -212,7 +212,7 @@ def test_inspect_manifest_without_dims_one_line_error(mini_pipeline, tmp_path, c
     capsys.readouterr()
     assert main(["inspect", str(broken)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "lacks key 'dims'" in err[0] and str(mpath) in err[0]
+    assert len(err) == 1 and "missing key 'dims'" in err[0] and str(mpath) in err[0]
 
 
 def test_eval_truncated_model_one_line_error(mini_pipeline, tmp_path, capsys):
@@ -283,3 +283,56 @@ def test_inspect_manifest_scene_without_camera_one_line_error(mini_pipeline, tmp
     mpath.write_text(json.dumps(manifest))
     err = one_line_error(capsys, ["inspect", str(tmp_path / "data")], mpath)
     assert "missing key 'camera'" in err
+
+
+def copy_models(models, dest):
+    dest.mkdir()
+    for src in models.iterdir():
+        if src.is_file():
+            (dest / src.name).write_bytes(src.read_bytes())
+    return dest
+
+
+def test_inspect_manifest_with_text_step_count_one_line_error(mini_pipeline, tmp_path, capsys):
+    _, data, _ = mini_pipeline
+    broken = tmp_path / "data" / "ep_00000"
+    broken.mkdir(parents=True)
+    for name in ("manifest.json", "steps.bin"):
+        (broken / name).write_bytes((data / "ep_00000" / name).read_bytes())
+    mpath = broken / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["steps"] = "x"
+    mpath.write_text(json.dumps(manifest))
+    err = one_line_error(capsys, ["inspect", str(tmp_path / "data")], mpath)
+    assert "bad value for 'steps'" in err
+
+
+@pytest.mark.parametrize("corrupt,key", [
+    (lambda blob: b"{}", "missing key"),
+    (lambda blob: blob[:40], "Expecting"),   # truncated JSON
+])
+def test_eval_bad_stats_file_one_line_error(mini_pipeline, tmp_path, capsys, corrupt, key):
+    _, data, models = mini_pipeline
+    path = copy_models(models, tmp_path / "models") / "norm_stats.json"
+    path.write_bytes(corrupt(path.read_bytes()))
+    err = one_line_error(capsys, ["eval", "--models", str(path.parent), "--dataset", str(data),
+                                  "--out", str(tmp_path / "eval.csv")], path)
+    assert key in err
+
+
+@pytest.mark.parametrize("setting", ["expert.lift_height_m=nan", "sim.depth_noise_sigma=inf"])
+def test_non_finite_config_flag_one_line_error(tmp_path, capsys, setting):
+    key = setting.split("=")[0]
+    err = one_line_error(capsys, ["inspect", str(tmp_path), "--set", setting], key)
+    assert "is not finite" in err
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"learner.lr = nan\n", "bad value for learner.lr"),
+    (b"learner.epochs = 5\xff\n", "not UTF-8"),
+])
+def test_bad_config_file_one_line_error(tmp_path, capsys, content, message):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(content)
+    err = one_line_error(capsys, ["inspect", str(tmp_path), "--config", str(path)], path)
+    assert message in err

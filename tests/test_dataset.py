@@ -141,7 +141,7 @@ def test_manifest_missing_key_names_it(tmp_path):
     manifest = json.loads(mpath.read_text())
     del manifest["dims"]["width"]
     mpath.write_text(json.dumps(manifest))
-    with pytest.raises(DatasetError, match=r"manifest.json: manifest lacks key dims.'width'"):
+    with pytest.raises(DatasetError, match=r"manifest.json: missing key 'dims.width'"):
         load_episode(tmp_path / "ep")
 
 

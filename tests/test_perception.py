@@ -13,7 +13,7 @@ from skillsim import (
     statistical_outlier_removal,
     voxel_grid_filter,
 )
-from skillsim.perception import _knn_mean_distances, load_cloud, save_cloud
+from skillsim.perception import _knn_mean_distances
 from skillsim.scene import make_scene, make_short_scene
 
 
@@ -306,44 +306,3 @@ def test_full_pipeline_noisy_monte_carlo():
         est = locate_object(frame, cfg.object("box0").color)
         errors.append(np.linalg.norm(est - gt))
     assert float(np.mean(errors)) < 0.03
-
-
-# ----------------------------------------------------------------------
-# binary persistence
-
-
-def test_cloud_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    cloud = random_cloud(rng, 123)
-    f32 = PointCloud(cloud.positions.astype(np.float32).astype(float),
-                     cloud.colors.astype(np.float32).astype(float))
-    path = tmp_path / "cloud.bin"
-    save_cloud(path, f32)
-    back = load_cloud(path)
-    assert np.array_equal(back.positions, f32.positions)
-    assert np.array_equal(back.colors, f32.colors)
-
-
-def test_cloud_truncation_detected(tmp_path):
-    cloud = PointCloud(np.zeros((10, 3)), np.zeros((10, 3)))
-    path = tmp_path / "cloud.bin"
-    save_cloud(path, cloud)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-7])
-    with pytest.raises(ValueError, match="expected .* bytes"):
-        load_cloud(path)
-
-
-def test_cloud_shorter_than_its_header(tmp_path):
-    path = tmp_path / "cloud.bin"
-    path.write_bytes(b"PCLD0001" + b"\x01")
-    with pytest.raises(ValueError, match=r"truncated at offset 8") as info:
-        load_cloud(path)
-    assert str(path) in str(info.value)
-
-
-def test_cloud_bad_magic(tmp_path):
-    path = tmp_path / "cloud.bin"
-    path.write_bytes(b"NOTACLOUD" + b"\x00" * 20)
-    with pytest.raises(ValueError, match="bad magic"):
-        load_cloud(path)
