@@ -152,6 +152,7 @@ def load_episode(dirpath) -> Episode:
         dtype = steps_dtype(dims("height", _count), dims("width", _count), has_cmd)
         seed, outcome = read("seed", _count), read("outcome", one_of("DONE", "FAILED"))
         scene = read("scene", config_from_dict)
+        scene.validate()
     except ValueError as exc:
         raise DatasetError(f"{mpath}: {exc}") from None
 

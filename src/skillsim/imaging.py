@@ -68,7 +68,24 @@ def block_mean(img: np.ndarray, factor: int) -> np.ndarray:
     """Downscale by integer factor with 2D block averaging.
 
     The last three axes are (H, W, channels), so a stack of frames is
-    downscaled in one call.
+    downscaled in one call. Each block is summed in float64 from its phase
+    slices `x[..., a::f, b::f, :]`: the f values of block row a from left to
+    right, then the rows from top to bottom; the sum is divided by f*f.
+
+    This is bit-equal to `reshape(..., H/f, f, W/f, f, C).mean(axis=(-4, -2))`
+    on every input the program passes:
+    - RGB frames are uint8, so every partial sum is an integer below
+      16 * 255 < 2**53 and exact in any order.
+    - Disparity frames have one channel. Their sums need not be exact: a
+      scene may place a surface at any distance, and depth noise can leave
+      a positive depth as close to 0 as float32 allows, so fb / depth32 can
+      range from about 2**-126 to inf: far more than the 25 binades (27 at
+      f = 2) within which f*f float32 values always add exactly in float64. The order above is
+      numpy's own for one channel whenever W > f, as the input is
+      contiguous: it reduces each block row with an inner loop over b and
+      adds the rows into the output in turn (`-0.0 + s` is `s`).
+    With several channels numpy adds a whole block in row-major order, which
+    can differ from the order above only when a sum is inexact.
     """
     if factor == 1:
         return np.asarray(img, dtype=np.float64)
@@ -76,5 +93,14 @@ def block_mean(img: np.ndarray, factor: int) -> np.ndarray:
     h, w = x.shape[-3:-1]
     if h % factor or w % factor:
         raise ValueError(f"image {h}x{w} not divisible by factor {factor}")
-    blocks = x.reshape(*x.shape[:-3], h // factor, factor, w // factor, factor, x.shape[-1])
-    return blocks.mean(axis=(-4, -2))
+    total = None
+    for a in range(factor):
+        row = x[..., a::factor, 0::factor, :] + x[..., a::factor, 1::factor, :]
+        for b in range(2, factor):
+            row += x[..., a::factor, b::factor, :]
+        if total is None:
+            total = row
+        else:
+            total += row
+    total /= factor * factor
+    return total

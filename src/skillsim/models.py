@@ -74,6 +74,14 @@ class Autoencoder:
     def meta(self) -> dict:
         return {"kind": 1, "channels": self.channels, "hw": self.hw, "latent": self.latent}
 
+    @staticmethod
+    def param_count(channels: int, hw: int, latent: int) -> int:
+        """Elements of named_params(), from the arguments alone, allocating nothing."""
+        flat = (hw // 8) ** 2 * 32
+        convs = ((channels, 8), (8, 16), (16, 32), (32, 16), (16, 8), (8, channels))
+        return sum(9 * c_in * c_out + c_out for c_in, c_out in convs) + (flat + 1) * latent \
+            + (latent + 1) * flat
+
 
 class Predictor:
     """LSTM cell over (z_rgb, z_disp, state) with a linear readout to the next state."""
@@ -100,6 +108,11 @@ class Predictor:
     def meta(self) -> dict:
         return {"kind": 2, "latent": self.latent, "d_state": self.d_state,
                 "hidden": self.hidden}
+
+    @staticmethod
+    def param_count(latent: int, d_state: int, hidden: int) -> int:
+        """Elements of named_params(), from the arguments alone, allocating nothing."""
+        return (2 * latent + d_state + hidden + 1) * 4 * hidden + (hidden + 1) * d_state
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +197,14 @@ def load_model(path):
         cls = {1: Autoencoder, 2: Predictor}[kind]
         args = [p.name for p in inspect.signature(cls).parameters.values() if p.default is p.empty]
         read = reader(meta, ["kind", *args], "meta/")
-        model = cls(**{name: read(name, _meta_int) for name in args})
+        values = {name: read(name, _meta_int) for name in args}
+        # checked before the model is built, so a bad meta integer cannot allocate
+        needed = cls.param_count(**values)
+        stored = sum(v.size for name, v in entries.items() if not name.startswith("meta/"))
+        if needed != stored:
+            raise ValueError(f"meta {values} describe {needed} parameter values, "
+                             f"the file stores {stored}")
+        model = cls(**values)
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from None
     for name, p in model.named_params():

@@ -166,6 +166,13 @@ def finite_float(value) -> float:
     return x
 
 
+def integer(value) -> int:
+    """An int, or its decimal text from a scene file; 7.9 and True are not integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, str)):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def vec(n: int):
     """A parser of exactly `n` finite floats, from a list or space-separated text."""
     def parse(value) -> np.ndarray:
@@ -238,9 +245,9 @@ def config_from_dict(d: dict) -> WorldConfig:
         objects=objects,
         obstacle_boxes=boxes,
         camera=CameraIntrinsics(**{
-            f.name: cam(f.name, finite_float if isinstance(f.default, float) else int)
+            f.name: cam(f.name, finite_float if isinstance(f.default, float) else integer)
             for f in cam_fields}),
-        rng_seed=read("rng_seed", int),
+        rng_seed=read("rng_seed", integer),
         dt=read("dt", finite_float),
         depth_noise_sigma=read("depth_noise_sigma", finite_float),
         robot_start=read("robot_start", vec(3)),

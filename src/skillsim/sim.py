@@ -176,22 +176,31 @@ class WorldConfig:
         raise KeyError(object_id)
 
 
-@dataclass
 class SensorFrame:
     """One rendered observation.
 
     depth is the hit distance along the optical axis in meters with 0
     encoding "no hit"; disparity = focal_px * baseline_m / depth on the
-    same pixels (0 elsewhere); cloud holds one world-frame point per
-    finite-depth pixel. hit_ids labels each pixel with the id of the
-    surface it hit (see HIT_* constants), -1 for no hit.
+    same pixels (0 elsewhere); hit_ids labels each pixel with the id of the
+    surface it hit (see HIT_* constants), -1 for no hit. cloud holds one
+    world-frame point per finite-depth pixel. It is built by `make_cloud` on
+    first access and then kept, so a caller that never reads it (dataset
+    recording, closed-loop rollouts) never pays for it.
     """
 
-    rgb: np.ndarray          # (H, W, 3) uint8
-    depth: np.ndarray        # (H, W) float32, 0 = no hit
-    disparity: np.ndarray    # (H, W) float32
-    cloud: PointCloud
-    hit_ids: np.ndarray      # (H, W) int32
+    def __init__(self, rgb, depth, disparity, hit_ids, make_cloud):
+        self.rgb = rgb                # (H, W, 3) uint8
+        self.depth = depth            # (H, W) float32, 0 = no hit
+        self.disparity = disparity    # (H, W) float32
+        self.hit_ids = hit_ids        # (H, W) int32
+        self._make_cloud = make_cloud
+        self._cloud = None
+
+    @property
+    def cloud(self) -> PointCloud:
+        if self._cloud is None:
+            self._cloud = self._make_cloud()
+        return self._cloud
 
 
 def wrap_angle(a: float) -> float:
@@ -244,6 +253,7 @@ class World:
         self._attach_offset = None
         self._rng = np.random.default_rng(config.rng_seed)
         self._pixel_dirs = self._make_pixel_dirs(config.camera)
+        self._last_cast = None  # (key, _cast(...)) of the last frame rendered
 
     # ------------------------------------------------------------------
     # kinematics helpers
@@ -369,32 +379,56 @@ class World:
                 return HIT_OBJECT_BASE + i
         raise KeyError(object_id)
 
+    def _cast(self, origin: np.ndarray, rot: np.ndarray, boxes: list) -> tuple:
+        """The noiseless part of a frame: (dirs, depth, rgb_f, rgb, hit_ids), flat.
+
+        Each pixel keeps the index of the nearest box it hits, and its color
+        and hit id are gathered from a [sky] + boxes table at the end; that
+        copies the values the boxes hold, bit for bit. The arrays are
+        read-only, since render() hands them to every frame of the same view.
+        """
+        dirs = self._pixel_dirs @ rot.T
+        n = dirs.shape[0]
+        t_best = np.full(n, np.inf)
+        idx = np.zeros(n, dtype=np.intp)
+        for j, (lo, hi, _, _) in enumerate(boxes):
+            t = _ray_aabb(origin, dirs, lo, hi)
+            closer = t < t_best
+            np.copyto(t_best, t, where=closer)
+            idx[closer] = j + 1
+        rgb_f = np.array([SKY_COLOR] + [color for _, _, color, _ in boxes], dtype=float)[idx]
+        hit_ids = np.array([HIT_NONE] + [hid for *_, hid in boxes], dtype=np.int32)[idx]
+        depth = np.where(np.isfinite(t_best), t_best, 0.0)
+        rgb = np.rint(rgb_f * 255.0).astype(np.uint8)
+        cast = (dirs, depth, rgb_f, rgb, hit_ids)
+        for a in cast:
+            a.flags.writeable = False
+        return cast
+
     def render(self, depth_noise_sigma: float | None = None) -> SensorFrame:
         """Ray-cast one sensor frame from the current base pose.
 
         Gaussian depth noise (std depth_noise_sigma, default from config) is
         applied before disparity and cloud derivation so the disparity-depth
-        identity holds on the values actually reported.
+        identity holds on the values actually reported; the noise is drawn on
+        every frame, so the RNG stream does not depend on what was reused.
+        The noiseless cast is reused from the previous frame when the bit
+        patterns of the camera pose and of every rendered box (corners,
+        color, hit id) are those it was cast from; -0.0 and 0.0 differ.
+        The frame's arrays are its own, and the cloud is built on first access.
         """
         cam = self.config.camera
         sigma = self.config.depth_noise_sigma if depth_noise_sigma is None else depth_noise_sigma
         origin, rot = self.camera_pose()
-        dirs = self._pixel_dirs @ rot.T
+        boxes = self._render_boxes()
+        values = np.concatenate([origin, rot.ravel()] + [a for box in boxes for a in box[:3]])
+        key = (values.tobytes(), tuple(hid for *_, hid in boxes))
+        if self._last_cast is None or self._last_cast[0] != key:
+            self._last_cast = (key, self._cast(origin, rot, boxes))
+        dirs, depth, rgb_f, rgb, hit_ids = self._last_cast[1]
 
-        n = dirs.shape[0]
-        t_best = np.full(n, np.inf)
-        id_best = np.full(n, HIT_NONE, dtype=np.int32)
-        rgb_f = np.tile(np.array(SKY_COLOR), (n, 1))
-        for lo, hi, color, hid in self._render_boxes():
-            t = _ray_aabb(origin, dirs, lo, hi)
-            closer = t < t_best
-            t_best = np.where(closer, t, t_best)
-            id_best[closer] = hid
-            rgb_f[closer] = color
-
-        depth = np.where(np.isfinite(t_best), t_best, 0.0)
         if sigma > 0.0:
-            noise = self._rng.normal(0.0, sigma, size=n)
+            noise = self._rng.normal(0.0, sigma, size=dirs.shape[0])
             depth = np.where(depth > 0.0, depth + noise, 0.0)
         depth32 = depth.astype(np.float32)
 
@@ -402,17 +436,18 @@ class World:
         with np.errstate(divide="ignore"):
             disparity = np.where(depth32 > 0.0, fb / depth32, np.float32(0.0))
 
-        rgb = np.rint(rgb_f * 255.0).astype(np.uint8)
-
-        mask = depth32 > 0.0
-        pts = origin[None, :] + depth32[mask, None].astype(float) * dirs[mask]
-        cloud = PointCloud(pts, rgb_f[mask].copy())
+        def make_cloud() -> PointCloud:
+            # from `depth`, never written by a caller, not from the frame's depth32
+            d32 = depth.astype(np.float32)
+            mask = d32 > 0.0
+            pts = origin[None, :] + d32[mask, None].astype(float) * dirs[mask]
+            return PointCloud(pts, rgb_f[mask])
 
         h, w = cam.height, cam.width
         return SensorFrame(
-            rgb=rgb.reshape(h, w, 3),
+            rgb=rgb.reshape(h, w, 3).copy(),
             depth=depth32.reshape(h, w),
-            disparity=disparity.astype(np.float32).reshape(h, w),
-            cloud=cloud,
-            hit_ids=id_best.reshape(h, w),
+            disparity=disparity.reshape(h, w),
+            hit_ids=hit_ids.reshape(h, w).copy(),
+            make_cloud=make_cloud,
         )

@@ -285,6 +285,20 @@ def test_inspect_manifest_scene_without_camera_one_line_error(mini_pipeline, tmp
     assert "missing key 'camera'" in err
 
 
+def test_inspect_manifest_scene_with_negative_dt_one_line_error(mini_pipeline, tmp_path, capsys):
+    _, data, _ = mini_pipeline
+    broken = tmp_path / "data" / "ep_00000"
+    broken.mkdir(parents=True)
+    for name in ("manifest.json", "steps.bin"):
+        (broken / name).write_bytes((data / "ep_00000" / name).read_bytes())
+    mpath = broken / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["scene"]["dt"] = -1.0
+    mpath.write_text(json.dumps(manifest))
+    err = one_line_error(capsys, ["inspect", str(tmp_path / "data")], mpath)
+    assert "dt must be positive" in err
+
+
 def copy_models(models, dest):
     dest.mkdir()
     for src in models.iterdir():

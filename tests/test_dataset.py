@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from skillsim import World, run_expert
+from skillsim import World, run_expert, sim
 from skillsim.dataset import (
     DatasetError,
     Episode,
@@ -45,10 +45,22 @@ def synthetic_episode(rng, steps=12, variant="short", h=8, w=8, outcome="DONE", 
 
 
 @pytest.fixture(scope="module")
-def short_episode():
+def short_transcript():
     cfg = make_short_scene(0)
-    transcript = run_expert(World(cfg), cfg.target_id, "short")
-    return record(transcript)
+    return run_expert(World(cfg), cfg.target_id, "short")
+
+
+@pytest.fixture(scope="module")
+def short_episode(short_transcript):
+    return record(short_transcript)
+
+
+def test_record_never_builds_a_point_cloud(monkeypatch, short_transcript, short_episode):
+    def no_cloud(*args, **kwargs):
+        raise AssertionError("record() built a point cloud")
+
+    monkeypatch.setattr(sim, "PointCloud", no_cloud)
+    assert episodes_equal(record(short_transcript), short_episode)
 
 
 def test_record_short_episode(short_episode):
@@ -167,6 +179,24 @@ def test_manifest_scene_round_trips_through_the_codec(tmp_path, short_episode):
         manifest = json.loads(text)
         manifest["scene"] = config_to_dict(config_from_dict(manifest["scene"]))
         assert json.dumps(manifest, sort_keys=True, indent=1) == text
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("rng_seed",), 7.9, r"'scene': bad value for 'rng_seed': 7.9 is not an integer"),
+    (("camera", "width"), True, r"'scene': bad value for 'camera.width': True is not an integer"),
+    (("dt",), -1.0, r"dt must be positive"),
+])
+def test_manifest_scene_is_validated(tmp_path, path, value, message):
+    save_episode(synthetic_episode(np.random.default_rng(4)), tmp_path / "ep")
+    mpath = tmp_path / "ep" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    node = manifest["scene"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=r"manifest.json: .*" + message):
+        load_episode(tmp_path / "ep")
 
 
 def test_truncated_steps_file_reports_counts(tmp_path):

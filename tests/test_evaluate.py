@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skillsim import sim
 from skillsim.dataset import DatasetError, NormStats
 from skillsim.evaluate import Scenario, evaluate_suite, reports_to_csv, rollout
 from skillsim.models import Autoencoder, PolicyBundle, Predictor
@@ -37,6 +38,18 @@ def test_untrained_policy_rollout_well_formed():
     assert not report.touched
     assert report.ticks_to_touch is None
     assert (report.ticks_to_touch is not None) == report.touched
+
+
+def test_rollout_never_builds_a_point_cloud(monkeypatch):
+    bundle = untrained_bundle()
+    scenario = Scenario("s0", make_short_scene(0), "short")
+    expected = rollout(bundle, scenario, max_steps=5)
+
+    def no_cloud(*args, **kwargs):
+        raise AssertionError("rollout() built a point cloud")
+
+    monkeypatch.setattr(sim, "PointCloud", no_cloud)
+    assert rollout(bundle, scenario, max_steps=5) == expected
 
 
 def test_variant_mismatch_rejected():

@@ -1,5 +1,8 @@
 """Architecture shape contracts and model-file round trips."""
 
+import struct
+import time
+
 import numpy as np
 import pytest
 
@@ -150,3 +153,33 @@ def test_model_truncated_reports_offset(tmp_path):
     path.write_bytes(path.read_bytes()[:18])
     with pytest.raises(ModelError, match=r"p.sklm: truncated at offset 18"):
         load_model(path)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (Autoencoder, (3, 32, 32)), (Autoencoder, (1, 16, 8)), (Autoencoder, (2, 8, 5)),
+    (Predictor, (1, 2, 2)), (Predictor, (32, 7, 64)), (Predictor, (3, 5, 1)),
+])
+def test_param_count_matches_named_params(cls, args):
+    model = cls(*args, rng=np.random.default_rng(0))
+    assert cls.param_count(*args) == sum(p.value.size for _, p in model.named_params())
+
+
+@pytest.mark.parametrize("cls, args, key", [
+    (Predictor, (1, 2, 2), "hidden"), (Predictor, (1, 2, 2), "latent"),
+    (Autoencoder, (1, 8, 2), "hw"),
+])
+def test_meta_integer_the_file_cannot_hold_fails_before_building(tmp_path, cls, args, key):
+    model = cls(*args, rng=np.random.default_rng(0))
+    path = tmp_path / "m.sklm"
+    save_model(path, model)
+    entry = f"meta/{key}".encode() + struct.pack("<BI", 1, 1)
+    blob = path.read_bytes()
+    old = entry + struct.pack("<f", model.meta()[key])
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, entry + struct.pack("<f", 2.0 ** 24)))
+    stored = cls.param_count(*args)
+    t0 = time.perf_counter()
+    with pytest.raises(ModelError, match=rf"m.sklm: meta .*'{key}': 16777216.* describe "
+                                         rf"\d+ parameter values, the file stores {stored}"):
+        load_model(path)
+    assert time.perf_counter() - t0 < 0.5

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from skillsim import BaseCommand, ObjectSpec, World, WorldConfig
+from skillsim import BaseCommand, ObjectSpec, World, WorldConfig, sim
 from skillsim.kinematics import JOINT_HIGH, JOINT_LOW, fk
 from skillsim.scene import make_scene, make_short_scene
 
@@ -300,3 +300,156 @@ def test_render_golden_frames(variant, seed, digest):
     # here; the digests pin the renderer's exact output on numpy 2.4 with
     # OpenBLAS on x86-64.
     assert frame_digest(variant, seed) == digest
+
+
+# ----------------------------------------------------------------------
+# frozen reference renderer: World.render as it was before the noiseless
+# cast was kept between frames. render() must match it bit for bit.
+
+
+def ray_aabb_reference(origin, dirs, lo, hi):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        ta = (lo[None, :] - origin[None, :]) * inv
+        tb = (hi[None, :] - origin[None, :]) * inv
+    tlo = np.nan_to_num(np.fmin(ta, tb), nan=-np.inf)
+    thi = np.nan_to_num(np.fmax(ta, tb), nan=np.inf)
+    tmin = np.maximum(np.maximum(tlo[:, 0], tlo[:, 1]), tlo[:, 2])
+    tmax = np.minimum(np.minimum(thi[:, 0], thi[:, 1]), thi[:, 2])
+    hit = (tmax >= tmin) & (tmax > 0.0)
+    return np.where(hit, np.maximum(tmin, 0.0), np.inf)
+
+
+def render_reference(world, depth_noise_sigma=None):
+    """(rgb, depth, disparity, hit_ids, cloud positions, cloud colors) of one frame."""
+    cam = world.config.camera
+    sigma = world.config.depth_noise_sigma if depth_noise_sigma is None else depth_noise_sigma
+    origin, rot = world.camera_pose()
+    dirs = world._pixel_dirs @ rot.T
+    n = dirs.shape[0]
+    t_best = np.full(n, np.inf)
+    id_best = np.full(n, sim.HIT_NONE, dtype=np.int32)
+    rgb_f = np.tile(np.array(sim.SKY_COLOR), (n, 1))
+    for lo, hi, color, hid in world._render_boxes():
+        t = ray_aabb_reference(origin, dirs, lo, hi)
+        closer = t < t_best
+        t_best = np.where(closer, t, t_best)
+        id_best[closer] = hid
+        rgb_f[closer] = color
+    depth = np.where(np.isfinite(t_best), t_best, 0.0)
+    if sigma > 0.0:
+        noise = world._rng.normal(0.0, sigma, size=n)
+        depth = np.where(depth > 0.0, depth + noise, 0.0)
+    depth32 = depth.astype(np.float32)
+    fb = np.float32(cam.focal_px * cam.baseline_m)
+    with np.errstate(divide="ignore"):
+        disparity = np.where(depth32 > 0.0, fb / depth32, np.float32(0.0))
+    rgb = np.rint(rgb_f * 255.0).astype(np.uint8)
+    mask = depth32 > 0.0
+    pts = origin[None, :] + depth32[mask, None].astype(float) * dirs[mask]
+    h, w = cam.height, cam.width
+    return (rgb.reshape(h, w, 3), depth32.reshape(h, w),
+            disparity.astype(np.float32).reshape(h, w), id_best.reshape(h, w),
+            pts, rgb_f[mask].copy())
+
+
+class Lockstep:
+    """A world under test and a reference world, given the same changes."""
+
+    def __init__(self, config):
+        self.world, self.ref = World(config), World(config)  # one shared config
+
+    def set_base(self, base):
+        for w in (self.world, self.ref):
+            w.state.base = np.array(base, dtype=float)
+
+    def step(self, cmd, target):
+        for w in (self.world, self.ref):
+            w.step(cmd, target)
+        assert np.array_equal(self.world.object_centers[self.world.config.target_id],
+                              self.ref.object_centers[self.ref.config.target_id])
+
+    def render(self, sigma=None, scribble=False):
+        """Renders both; with scribble, writes into the frame before reading its cloud."""
+        frame = self.world.render(sigma)
+        expected = render_reference(self.ref, sigma)
+        planes = (frame.rgb, frame.depth, frame.disparity, frame.hit_ids)
+        for a, e in zip(planes, expected):
+            assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
+        if scribble:
+            frame.rgb[...] = 7
+            frame.hit_ids[...] = 99
+            frame.depth[...] = 5.0
+        cloud = (frame.cloud.positions, frame.cloud.colors)
+        for a, e in zip(cloud, expected[4:]):
+            assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
+        return frame
+
+
+@pytest.mark.parametrize("variant, seed", [("short", 0), ("long", 3)])
+def test_render_sequence_bit_equal_to_reference(variant, seed):
+    cfg = make_scene(seed, variant)
+    run = Lockstep(cfg)
+    for _ in range(3):
+        run.render()                    # unchanged pose: the cast is reused
+    run.render(0.0)                     # noiseless between noisy frames
+    run.render()
+    run.render(0.0)
+    run.render(0.0)
+    for base in ((0.4, 0.0, 0.0), (0.4, -0.0, -0.0), (0.4, 0.0, 0.0), (-0.0, 0.0, -0.0)):
+        run.render()                    # signed zeros: same values, other bits
+        run.set_base(base)
+        run.render()
+    run.set_base(cfg.robot_start)
+    for _ in range(2):
+        run.render(scribble=True)       # caller writes into rgb, hit_ids, depth
+    run.render()
+    cfg.objects[0].color = np.array([0.1, 0.2, 0.9])  # a new color array
+    run.render()
+    cfg.objects[1].color[2] = 0.95      # a color written in place
+    run.render()
+    cfg.table_center[2] -= 0.01         # a solid box moved in place
+    run.render()
+    if cfg.obstacle_boxes:
+        cfg.obstacle_boxes[0].center = cfg.obstacle_boxes[0].center + 0.05
+        run.render()
+    for _ in range(3):
+        run.step(BaseCommand(0.3, 0.4), run.world.state.joints)
+        run.render()
+        run.render()
+
+
+def test_render_bit_equal_to_reference_while_carrying_the_target():
+    cfg = tip_config()
+    cfg.depth_noise_sigma = sim.DEPTH_NOISE_SIGMA
+    cfg.robot_joints = cfg.robot_joints.copy()
+    cfg.robot_joints[4] = 0.1
+    run = Lockstep(cfg)
+    run.render()
+    run.step(BaseCommand(), cfg.robot_joints)    # attaches, holds still
+    assert run.world.state.attached_object == "box0"
+    run.render()
+    target = cfg.robot_joints.copy()
+    target[0] = 0.2                              # raise the torso: the box moves
+    for _ in range(6):
+        run.step(BaseCommand(), target)
+        run.render()
+        run.render(0.0)
+    for _ in range(2):
+        run.step(BaseCommand(0.2, -0.3), target)  # carried by a moving base
+        run.render()
+    for _ in range(3):                           # lift at its target: nothing moves
+        run.step(BaseCommand(), target)
+        run.render()
+
+
+def test_frames_do_not_share_writable_arrays():
+    world = World(make_short_scene(0))
+    a, b = world.render(), world.render()
+    for name in ("rgb", "depth", "disparity", "hit_ids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.flags.writeable and y.flags.writeable
+        assert not np.shares_memory(x, y)
+    assert a.cloud is a.cloud
+    assert not np.shares_memory(a.cloud.positions, b.cloud.positions)
+    assert not np.shares_memory(a.cloud.colors, b.cloud.colors)
