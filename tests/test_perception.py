@@ -170,12 +170,56 @@ def knn_mean_distances_reference(pos, k, chunk=512):
     return out
 
 
+def knn_mean_distances_blocked_reference(pos, k, chunk=64):
+    """The blocked brute-force kernel the cell grid replaced, frozen."""
+    n = pos.shape[0]
+    x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
+    out = np.empty(n)
+    d2 = np.empty((min(chunk, n), n))
+    sq = np.empty_like(d2)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        acc, tmp = d2[:hi - lo], sq[:hi - lo]
+        np.subtract(x[lo:hi, None], x, out=acc)
+        np.multiply(acc, acc, out=acc)
+        for col in (y, z):
+            np.subtract(col[lo:hi, None], col, out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            acc += tmp
+        acc[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        nearest = np.sort(np.partition(acc, k - 1, axis=1)[:, :k], axis=1)
+        out[lo:hi] = np.sqrt(nearest).mean(axis=1)
+    return out
+
+
+def sparse_clusters(rng, sizes, spacing, spread):
+    """Blobs of `sizes` points, `spread` wide, on a lattice `spacing` apart."""
+    blobs = [rng.normal(spacing * rng.integers(-4, 5, 3), spread, (m, 3)) for m in sizes]
+    return np.concatenate(blobs)
+
+
 def knn_exactness_clouds():
     rng = np.random.default_rng(1234)
     for _ in range(100):  # A3.sor's cloud sizes and extent
         yield rng.uniform(-1, 1, (int(rng.integers(20, 501)), 3))
     for n in (20, 64, 65, 300):  # many ties and duplicate points
         yield np.round(rng.uniform(-0.3, 0.3, (n, 3)), 1)
+    # sparse clusters far apart: rings must widen, and blobs of 2-3 points
+    # hold fewer candidates than k
+    yield sparse_clusters(rng, [200, 3, 2, 3, 2, 2], 10.0, 0.05)
+    yield sparse_clusters(rng, [2] * 20, 10.0, 0.01)
+    yield sparse_clusters(rng, [3] * 10 + [60], 100.0, 1.0)
+    # a dense blob with a sparse halo, as SOR meets it
+    yield np.concatenate([rng.normal(0, 0.02, (300, 3)), rng.uniform(-5, 5, (30, 3))])
+    yield np.full((40, 3), 0.3)  # all points identical, zero extent
+    t = rng.uniform(-1, 1, (60, 1))
+    yield t * [1.0, 2.0, -0.5]  # collinear, oblique
+    yield np.column_stack([np.zeros(50), rng.uniform(-1, 1, 50), np.zeros(50)])  # on an axis
+    uv = rng.uniform(-1, 1, (120, 2))
+    yield np.column_stack([uv, np.full(120, 0.7)])  # coplanar, axis-aligned
+    yield uv @ [[1.0, 0.5, -2.0], [0.0, 1.0, 3.0]]  # coplanar, tilted
+    yield rng.uniform(-1, 1, (200, 3)) + 1e6  # large offset, coarse ulps
+    yield rng.choice([-0.0, 0.0, 0.25, -0.25], (80, 3))  # signed zeros
     for seed in range(4):  # real long-variant start frames, ~4096 points
         frame = World(make_scene(seed, "long")).render()
         yield voxel_grid_filter(frame.cloud, 0.01).positions
@@ -186,6 +230,23 @@ def test_knn_mean_distances_bit_equal_to_reference():
         for k in (1, 3, 8):
             assert np.array_equal(_knn_mean_distances(pos, k),
                                   knn_mean_distances_reference(pos, k))
+
+
+def test_knn_mean_distances_bit_equal_to_blocked_reference():
+    for pos in knn_exactness_clouds():
+        for k in (1, 3, 8):
+            assert np.array_equal(_knn_mean_distances(pos, k),
+                                  knn_mean_distances_blocked_reference(pos, k))
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_knn_mean_distances_n_equals_k_plus_one(k):
+    rng = np.random.default_rng(k)
+    for pos in (rng.uniform(-1, 1, (k + 1, 3)), np.zeros((k + 1, 3)),
+                sparse_clusters(rng, [1] * (k + 1), 10.0, 0.0)):
+        got = _knn_mean_distances(pos, k)
+        assert np.array_equal(got, knn_mean_distances_reference(pos, k))
+        assert np.array_equal(got, knn_mean_distances_blocked_reference(pos, k))
 
 
 def test_sor_monotone_in_alpha():
