@@ -358,7 +358,9 @@ class World:
         fwd = np.array([np.cos(yaw), np.sin(yaw), 0.0])
         right = np.array([np.sin(yaw), -np.cos(yaw), 0.0])
         optical = np.cos(cam.pitch_rad) * fwd + np.sin(cam.pitch_rad) * np.array([0.0, 0.0, -1.0])
-        down = np.cross(optical, right)
+        (o0, o1, o2), (r0, r1, r2) = optical.tolist(), right.tolist()
+        # optical x right, spelled out: the same products and differences as np.cross
+        down = np.array([o1 * r2 - o2 * r1, o2 * r0 - o0 * r2, o0 * r1 - o1 * r0])
         return origin, np.stack([right, down, optical], axis=1)
 
     def _render_boxes(self):

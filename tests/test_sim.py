@@ -159,6 +159,18 @@ def test_back_projection_reprojects_to_source_pixel():
     assert np.all(np.floor(v).astype(int) == src_v)
 
 
+def test_camera_pose_down_axis_is_np_cross_bytes():
+    world = World(make_short_scene(2))
+    angles = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 0.3, -2.9, 7.0, 5e-324]
+    for yaw in angles:
+        for pitch in angles + [sim.CameraIntrinsics().pitch_rad]:
+            world.state.base[2] = yaw
+            world.config.camera.pitch_rad = pitch
+            _, rot = world.camera_pose()
+            right, down, optical = rot.T
+            assert down.tobytes() == np.cross(optical, right).tobytes(), (yaw, pitch)
+
+
 def test_render_cube_blob_centroid():
     # small cube straight ahead; blob centroid within 2 cm of the cube center
     cfg = single_object_config([0.8, 0.0, 0.35], half=0.015)
