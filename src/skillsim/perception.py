@@ -3,6 +3,11 @@
 The localization pipeline runs, in order: voxel-grid downsampling,
 statistical outlier removal, color segmentation, centroid. All operations
 are pure functions of their inputs.
+
+Outlier removal needs each point's k nearest neighbors. They are found on a
+grid of cubic cells, widening only the rows whose answer is not yet proven,
+and the mean distances equal brute force's bit for bit (see
+`_knn_mean_distances`). Memory stays linear in the number of points.
 """
 
 from __future__ import annotations
@@ -49,12 +54,17 @@ class PerceptionParams:
     def validate(self):
         if self.leaf <= 0:
             raise ValueError("leaf must be positive")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be at least 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        _check_k_alpha(self.k_neighbors, self.alpha, "k_neighbors")
         if not 0 < self.color_threshold <= np.sqrt(3.0):
             raise ValueError("color_threshold must be in (0, sqrt(3)]")
+
+
+def _check_k_alpha(k, alpha, k_name: str = "k"):
+    """Raise ValueError unless k is an integer >= 1 (not a bool) and alpha is finite and >= 0."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"{k_name} must be an integer >= 1, got {k!r}")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
 
 
 def voxel_grid_filter(cloud: PointCloud, leaf: float) -> PointCloud:
@@ -84,37 +94,133 @@ def voxel_grid_filter(cloud: PointCloud, leaf: float) -> PointCloud:
     return PointCloud(mean_pos, mean_col)
 
 
-KNN_CHUNK = 64  # rows per block of the brute-force k-NN
+KNN_SLOTS = 1 << 16  # candidate slots (rows x padded width) per block of the k-NN
+KNN_CELLS_PER_K = 32  # first-level cells in the bounding box, per point, times k
 
 
 def _knn_mean_distances(pos: np.ndarray, k: int) -> np.ndarray:
-    """Mean distance from each point to its k nearest neighbors (brute force).
+    """Mean distance from each point to its k nearest neighbors (exact, cell grid).
 
-    Exact: bit-equal to taking `np.sqrt(np.sum(diff * diff, axis=2))` over the
-    full (n, n, 3) difference tensor, sorting each row and averaging its first
-    k. Squared distances accumulate as (dx*dx + dy*dy) + dz*dz, the order numpy
-    sums a length-3 axis in, and since sqrt is monotone the k smallest squared
-    distances give the same k sorted distances. Rows go in blocks of
-    KNN_CHUNK so the (KNN_CHUNK, n) buffers stay in cache.
+    Brute force forms every pair's squared distance (dx*dx + dy*dy) + dz*dz,
+    dx = x_i - x_j, sets the point's own to inf, sorts the row and averages
+    the square roots of its first k. This function returns the same bits.
+
+    Exactness. Points are bucketed into cubic cells of size h, and a row's
+    candidates are the points of the 3x3x3 block of cells around its own.
+    Each candidate's squared distance is formed by brute force's operations
+    in brute force's order, so it has brute force's bits. The multiset of a
+    row's k smallest squared distances is unique, ties included. So if every
+    point left out has a squared distance no smaller than the row's k-th
+    candidate value, the sorted k values, their roots and their mean are
+    brute force's. A row is final when its k-th value is strictly below the
+    squared distance from the point to the nearest face of its block that has
+    cells behind it; a block face at the edge of the grid has no points
+    behind it and does not count.
+
+    Rounding. Cell indices are floor((p - min) / h) of a rounded quotient, so
+    a left-out point may sit a little inside a face. The face distance is
+    taken in cell units from that same quotient, (1 + frac) below and
+    (2 - frac) above, and its square is shrunk by the relative margin
+    8 * eps * (G + 2), G the widest grid dimension. The quotient is off by at
+    most ~2 eps * G cells and each squared distance by a few eps, so the
+    margin covers both. Clouds whose extent is zero, or so large or small
+    that these squares would overflow or go subnormal, go into one cell.
+
+    Widening. Rows that are not final are evaluated again with every point
+    bucketed into cells twice as large, until the cells cover the bounding
+    box. Then the block is the whole cloud, which is the brute-force case,
+    and every row is final.
+
+    Cell size. The first cells make about KNN_CELLS_PER_K * n / k cells in
+    the bounding box, counting only the axes the cloud spans (h is the
+    largest of the 1-, 2- and 3-axis sizes). The surfaces a depth camera
+    sees fill little of their box, so the first cells are fine.
+
+    Memory. The cell table has about 7 * KNN_CELLS_PER_K * n / k entries and
+    the per-row tables 9 entries a row. Candidates are padded into row blocks
+    of at most KNN_SLOTS slots; a row wider than that goes alone, with at
+    most n slots.
     """
     n = pos.shape[0]
-    x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
+    lo = pos.min(axis=0)
+    e1, e2, e3 = np.sort(pos.max(axis=0) - lo)[::-1]
+    cells = KNN_CELLS_PER_K * n / k
+    h = 0.0
+    if e1 < 2.0 ** 300:  # the products stay finite, and so do the squared distances
+        h = max(e1 / cells, np.sqrt(e1 * e2 / cells), np.cbrt(e1 * e2 * e3 / cells))
+    if not h > 2.0 ** -500:  # zero extent, or squares near the subnormal range
+        h = np.inf  # one cell
     out = np.empty(n)
-    d2 = np.empty((min(KNN_CHUNK, n), n))
-    sq = np.empty_like(d2)
-    for lo in range(0, n, KNN_CHUNK):
-        hi = min(lo + KNN_CHUNK, n)
-        acc, tmp = d2[:hi - lo], sq[:hi - lo]
-        np.subtract(x[lo:hi, None], x, out=acc)
-        np.multiply(acc, acc, out=acc)
-        for col in (y, z):
-            np.subtract(col[lo:hi, None], col, out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            acc += tmp
-        acc[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        nearest = np.sort(np.partition(acc, k - 1, axis=1)[:, :k], axis=1)
-        out[lo:hi] = np.sqrt(nearest).mean(axis=1)
+    pending = np.arange(n)
+    while pending.size:
+        pending = _knn_ring(pos, lo, h, k, pending, out)
+        h *= 2.0
     return out
+
+
+def _knn_ring(pos, lo, h, k, rows, out):
+    """Evaluate `rows` on cells of size `h`; write the final ones, return the rest."""
+    n = pos.shape[0]
+    u = (pos - lo) / h
+    cell = np.floor(u)
+    frac = u[rows] - cell[rows]  # exact
+    cell = cell.astype(np.int64)
+    dims = cell.max(axis=0) + 1
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    rank = np.empty(n, np.int64)
+    rank[order] = np.arange(n)
+    first = np.zeros(dims.prod() + 1, np.int64)  # first sorted point of each cell
+    np.cumsum(np.bincount(key, minlength=dims.prod()), out=first[1:])
+    # sorted coordinates, and a point at infinity that pads short rows
+    x, y, z = (np.append(pos[order, a], np.inf) for a in range(3))
+
+    # nine z-runs of three cells each: (x-1..x+1, y-1..y+1) columns, z-1..z+1
+    c = cell[rows]
+    cx = c[:, :1] + np.repeat([-1, 0, 1], 3)
+    cy = c[:, 1:2] + np.tile([-1, 0, 1], 3)
+    inside = (cx >= 0) & (cx < dims[0]) & (cy >= 0) & (cy < dims[1])
+    col = np.where(inside, (cx * dims[1] + cy) * dims[2], 0)
+    start = first[col + np.maximum(c[:, 2:] - 1, 0)]
+    count = np.where(inside, first[col + np.minimum(c[:, 2:] + 1, dims[2] - 1) + 1] - start, 0)
+    total = count.sum(axis=1)
+    own = count[:, :4].sum(axis=1) + rank[rows] - start[:, 4]  # slot of the point itself
+    gap = np.minimum(np.where(c > 1, 1.0 + frac, np.inf),
+                     np.where(c < dims - 2, 2.0 - frac, np.inf)).min(axis=1)
+    bound = np.square(gap * h) * (1.0 - 8.0 * np.finfo(float).eps * (dims.max() + 2))
+
+    by = np.argsort(total, kind="stable")  # similar widths share a block
+    width = np.maximum(total[by], k)
+    rest = []
+    b0 = 0
+    while b0 < rows.size:
+        span = width[b0:b0 + max(1, KNN_SLOTS // width[b0])]
+        b1 = b0 + max(1, int(np.count_nonzero(span * np.arange(1, span.size + 1) <= KNN_SLOTS)))
+        sel = by[b0:b1]
+        w = width[b1 - 1]
+        runs = count[sel].ravel()
+        idx = np.full((sel.size, w), n)
+        idx[np.arange(w) < total[sel, None]] = (
+            np.arange(runs.sum()) + np.repeat(start[sel].ravel() - (np.cumsum(runs) - runs), runs))
+        i = rows[sel, None]
+        d2 = np.take(x, idx)
+        np.subtract(pos[i, 0], d2, out=d2)
+        d2 *= d2
+        sq = np.take(y, idx)
+        np.subtract(pos[i, 1], sq, out=sq)
+        sq *= sq
+        d2 += sq
+        np.take(z, idx, out=sq)
+        np.subtract(pos[i, 2], sq, out=sq)
+        sq *= sq
+        d2 += sq
+        d2[np.arange(sel.size), own[sel]] = np.inf
+        nearest = np.sort(np.partition(d2, k - 1, axis=1)[:, :k], axis=1)
+        final = (nearest[:, -1] < bound[sel]) | (gap[sel] == np.inf)
+        out[i[final, 0]] = np.sqrt(nearest[final]).mean(axis=1)
+        rest.append(i[~final, 0])
+        b0 = b1
+    return np.concatenate(rest)
 
 
 def statistical_outlier_removal(cloud: PointCloud, k: int, alpha: float) -> PointCloud:
@@ -123,6 +229,7 @@ def statistical_outlier_removal(cloud: PointCloud, k: int, alpha: float) -> Poin
     The standard deviation is the population one over all per-point mean
     distances. Survivors keep their input order.
     """
+    _check_k_alpha(k, alpha)
     n = len(cloud)
     if n <= k:
         raise PerceptionError("insufficient points for k-NN")

@@ -5,6 +5,7 @@ import pytest
 
 from skillsim import (
     PerceptionError,
+    PerceptionParams,
     PointCloud,
     World,
     centroid,
@@ -142,6 +143,32 @@ def test_sor_too_few_points():
     cloud = PointCloud(np.zeros((4, 3)), np.zeros((4, 3)))
     with pytest.raises(PerceptionError, match="insufficient points"):
         statistical_outlier_removal(cloud, 4, 1.0)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True, False, np.float64(2.0), None])
+def test_sor_rejects_invalid_k(k):
+    cloud = random_cloud(np.random.default_rng(0), 20)
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 1"):
+        statistical_outlier_removal(cloud, k, 1.0)
+    with pytest.raises(ValueError, match=r"^k_neighbors must be an integer >= 1"):
+        PerceptionParams(k_neighbors=k).validate()
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_sor_rejects_invalid_alpha(alpha):
+    cloud = random_cloud(np.random.default_rng(0), 20)
+    with pytest.raises(ValueError, match=r"^alpha must be finite and non-negative"):
+        statistical_outlier_removal(cloud, 4, alpha)
+    with pytest.raises(ValueError, match=r"^alpha must be finite and non-negative"):
+        PerceptionParams(alpha=alpha).validate()
+
+
+def test_sor_accepts_numpy_integer_k_and_zero_alpha():
+    cloud = random_cloud(np.random.default_rng(0), 40)
+    for k in (np.int64(4), np.int32(4), np.uint8(4)):
+        PerceptionParams(k_neighbors=k, alpha=-0.0).validate()
+        out = statistical_outlier_removal(cloud, k, -0.0)
+        assert np.array_equal(out.positions, statistical_outlier_removal(cloud, 4, 0.0).positions)
 
 
 def test_sor_matches_oracle_on_random_clouds():
