@@ -133,10 +133,10 @@ def _knn_mean_distances(pos: np.ndarray, k: int) -> np.ndarray:
 
     Cell size. The first cells make about KNN_CELLS_PER_K * n / k cells in
     the bounding box, counting only the axes the cloud spans (h is the
-    largest of the 1-, 2- and 3-axis sizes). The surfaces a depth camera
-    sees fill little of their box, so the first cells are fine.
+    largest of the 1-, 2- and 3-axis sizes). That many cells per point suits
+    the surfaces a depth camera sees, which fill little of their box.
 
-    Memory. The cell table has about 7 * KNN_CELLS_PER_K * n / k entries and
+    Memory. The cell table has at most ~7 * KNN_CELLS_PER_K * n / k entries,
     the per-row tables 9 entries a row. Candidates are padded into row blocks
     of at most KNN_SLOTS slots; a row wider than that goes alone, with at
     most n slots.
