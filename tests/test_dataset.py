@@ -356,6 +356,46 @@ def test_stats_json_round_trip():
     assert back.disp_std == stats.disp_std
 
 
+def hand_packed_episode(path, variant, states, cmds):
+    """An episode directory written byte by byte: 1 x 2 frames of one black and
+    one white pixel, disparity 2 and 4."""
+    path.mkdir()
+    scene = make_short_scene(0)
+    manifest = {"schema_version": 1, "variant": variant, "steps": len(states),
+                "dims": {"state": 5, "cmd": 2 if cmds else 0, "height": 1, "width": 2},
+                "dt": scene.dt, "seed": 0, "outcome": "DONE", "scene": config_to_dict(scene)}
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    blob = b"SKLDSET1" + struct.pack("<I", len(states))
+    for t, joints in enumerate(states):
+        blob += struct.pack("<5f", *joints)
+        if cmds:
+            blob += struct.pack("<2f", *cmds[t])
+        blob += bytes([0, 0, 0, 255, 255, 255]) + struct.pack("<2f", 2.0, 4.0)
+    (path / "steps.bin").write_bytes(blob)
+    return load_episode(path)
+
+
+def as_json(d):
+    return json.dumps(d, sort_keys=True)
+
+
+def test_stats_to_dict_literal(tmp_path):
+    """norm_stats.json keeps the joints under state_* (5 values) and (v, omega)
+    under cmd_* (2 values, null for short data). Compared as JSON text, so a
+    flag written as `true` or a bound written as `0` fails."""
+    states = [[0.0, 0.5, 1.0, 0.25, 0.0], [1.0, 0.5, 0.0, 0.75, 1.0]]
+    image = {"image_mean": [0.5, 0.5, 0.5], "image_std": [0.5, 0.5, 0.5],
+             "disp_mean": 3.0, "disp_std": 1.0}
+    joints = {"state_min": [0.0, 0.5, 0.0, 0.25, 0.0], "state_max": [1.0, 0.5, 1.0, 0.75, 1.0],
+              "state_flags": [0, 1, 0, 0, 0]}
+    short = hand_packed_episode(tmp_path / "short", "short", states, None)
+    assert as_json(compute_norm_stats([short]).to_dict()) == as_json({
+        **joints, "cmd_min": None, "cmd_max": None, "cmd_flags": None, **image})
+    long = hand_packed_episode(tmp_path / "long", "long", states, [[-0.5, 1.0], [0.5, 1.0]])
+    assert as_json(compute_norm_stats([long]).to_dict()) == as_json({
+        **joints, "cmd_min": [-0.5, 1.0], "cmd_max": [0.5, 1.0], "cmd_flags": [0, 1], **image})
+
+
 def test_dimension_mismatch_rejected():
     rng = np.random.default_rng(15)
     episodes = [synthetic_episode(rng, steps=10, seed=i) for i in range(2)]
