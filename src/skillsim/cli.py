@@ -95,7 +95,7 @@ def cmd_collect(args, runcfg: RunConfig) -> int:
             for i in range(args.episodes)]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_collect_one_star, jobs))
+            results = list(pool.map(_collect_one, *zip(*jobs)))
     else:
         results = [_collect_one(*job) for job in jobs]
     results.sort()
@@ -112,10 +112,6 @@ def cmd_collect(args, runcfg: RunConfig) -> int:
     )
     print(f"collected {successes}/{args.episodes} successful episodes in {out}")
     return 0 if successes >= 1 else 1
-
-
-def _collect_one_star(job):
-    return _collect_one(*job)
 
 
 # ----------------------------------------------------------------------
@@ -256,11 +252,10 @@ def cmd_inspect(args, runcfg: RunConfig) -> int:
     successful = [e for e in episodes if e.outcome == "DONE"]
     if successful:
         stats = compute_norm_stats(successful)
-        print("state_min " + " ".join(f"{v:.4f}" for v in stats.state_min))
-        print("state_max " + " ".join(f"{v:.4f}" for v in stats.state_max))
-        if stats.has_cmd:
-            print("cmd_min   " + " ".join(f"{v:.4f}" for v in stats.cmd_min))
-            print("cmd_max   " + " ".join(f"{v:.4f}" for v in stats.cmd_max))
+        bounds = stats.to_dict()  # the joints under state_*, (v, omega) under cmd_*
+        for key in ("state_min", "state_max", "cmd_min", "cmd_max"):
+            if bounds[key] is not None:
+                print(f"{key:9s} " + " ".join(f"{v:.4f}" for v in bounds[key]))
         print(f"image_mean {np.array2string(stats.image_mean, precision=4)} "
               f"image_std {np.array2string(stats.image_std, precision=4)}")
         print(f"disp_mean {stats.disp_mean:.4f} disp_std {stats.disp_std:.4f}")

@@ -11,7 +11,7 @@ from .evaluate import MAX_STEPS
 from .expert import ExpertParams
 from .perception import PerceptionParams
 from .scene import (DISTRACTORS, LONG_OBJECT_HALF_EXTENT, SHORT_OBJECT_HALF_EXTENT, bounded,
-                    finite_float, one_of)
+                    finite_float)
 from .sim import DEPTH_NOISE_SIGMA
 from .training import TrainConfig
 
@@ -33,8 +33,7 @@ REGISTRY = {
     "expert.pregrasp_offset_m": (_E.pregrasp_offset_m, bounded(finite_float, 0.0), "pre-grasp height above the object (m)"),
     "expert.lift_height_m": (_E.lift_height_m, bounded(finite_float, 0.0), "lift height after grasping (m)"),
     "expert.locate_noise_sigma": (_E.locate_noise_sigma, finite_float, "short-variant localization noise std (m)"),
-    "expert.yaw_jitter_rad": (_E.yaw_jitter_rad, finite_float, "approach bearing jitter amplitude (rad)"),
-    "expert.yaw_jitter": (_E.yaw_jitter, one_of("auto", "on", "off"), "jitter mode (auto: long only)"),
+    "expert.yaw_jitter_rad": (_E.yaw_jitter_rad, finite_float, "approach bearing jitter amplitude (rad), 0 disables"),
     "expert.max_ticks": (_E.max_ticks, bounded(int, 0), "expert tick budget"),
     "learner.epochs": (_T.epochs, bounded(int, 0), "predictor training epochs"),
     "learner.ae_epochs": (_T.ae_epochs, bounded(int, 0), "autoencoder training epochs"),

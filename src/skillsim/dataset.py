@@ -2,16 +2,16 @@
 
 An episode directory holds `manifest.json` (schema version, variant, dims,
 seed, outcome, scene snapshot) and `steps.bin`: magic "SKLDSET1", a u32
-little-endian step count, then per step the f32 state vector, the f32
-(v, omega) command for long-variant episodes, raw RGB bytes, and the f32
-disparity image. Round trips are bit-exact.
+little-endian step count, then per step the f32 learner state (see
+`state_dim`), raw RGB bytes, and the f32 disparity image. Round trips are
+bit-exact.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -22,27 +22,36 @@ from .sim import BaseCommand, World
 
 SCHEMA_VERSION = 1
 STEPS_MAGIC = b"SKLDSET1"
+JOINTS = 5  # the arm joints incl. gripper: the learner state of a short episode
 
 
 class DatasetError(ValueError):
     """Unreadable or inconsistent episode data."""
 
 
-def steps_dtype(h: int, w: int, has_cmd: bool) -> np.dtype:
+def state_dim(variant: str) -> int:
+    """Length of the learner state: the joints, then the base command (v, omega)
+    for long episodes."""
+    return JOINTS + 2 if variant == "long" else JOINTS
+
+
+def dataset_state_dim(episodes) -> int:
+    """The state length a set of episodes is learned with: the joints alone
+    unless every episode is long."""
+    return state_dim("long" if all(e.variant == "long" for e in episodes) else "short")
+
+
+def steps_dtype(h: int, w: int, variant: str) -> np.dtype:
     """The packed little-endian `steps.bin` record of one step."""
-    fields = [("state", "<f4", (5,))]
-    if has_cmd:
-        fields.append(("cmd", "<f4", (2,)))
-    fields += [("rgb", "u1", (h, w, 3)), ("disparity", "<f4", (h, w))]
-    return np.dtype(fields)
+    return np.dtype([("state", "<f4", (state_dim(variant),)),
+                     ("rgb", "u1", (h, w, 3)), ("disparity", "<f4", (h, w))])
 
 
 @dataclass
 class Episode:
     """One recorded episode as per-step columns; row t is step t."""
 
-    states: np.ndarray                # (T, 5) float32 joints incl. gripper
-    cmds: np.ndarray | None           # (T, 2) float32 (v, omega), long variant only
+    states: np.ndarray                # (T, state_dim(variant)) float32
     rgb: np.ndarray                   # (T, H, W, 3) uint8
     disparity: np.ndarray             # (T, H, W) float32
     variant: str
@@ -65,7 +74,7 @@ def record(transcript: ExpertTranscript) -> Episode:
     world = World(transcript.config)
     cam = transcript.config.camera
     n = len(transcript.ticks)
-    states = np.empty((n, 5), dtype=np.float32)
+    states = np.empty((n, state_dim(transcript.variant)), dtype=np.float32)
     rgb = np.empty((n, cam.height, cam.width, 3), dtype=np.uint8)
     disparity = np.empty((n, cam.height, cam.width), dtype=np.float32)
     for t, rec in enumerate(transcript.ticks):
@@ -73,17 +82,14 @@ def record(transcript: ExpertTranscript) -> Episode:
                 and np.array_equal(world.state.joints, rec.joints)):
             raise DatasetError(f"replay diverged from the transcript at tick {t}")
         frame = world.render()
-        states[t] = world.state.joints
+        states[t, :JOINTS] = world.state.joints
         rgb[t] = frame.rgb
         disparity[t] = frame.disparity
         world.step(BaseCommand(rec.v, rec.omega), rec.joint_target)
-    cmds = None
     if transcript.variant == "long":
-        cmds = np.array([(rec.v, rec.omega) for rec in transcript.ticks],
-                        dtype=np.float32).reshape(n, 2)
+        states[:, JOINTS:] = np.reshape([(rec.v, rec.omega) for rec in transcript.ticks], (n, 2))
     return Episode(
         states=states,
-        cmds=cmds,
         rgb=rgb,
         disparity=disparity,
         variant=transcript.variant,
@@ -97,24 +103,22 @@ def save_episode(episode: Episode, dirpath) -> None:
     d = FsPath(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     n = len(episode)
-    has_cmd = episode.variant == "long"
     h, w = episode.rgb.shape[1:3] if n else (0, 0)
+    cmd = state_dim(episode.variant) - JOINTS
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "variant": episode.variant,
         "steps": n,
-        "dims": {"state": 5, "cmd": 2 if has_cmd else 0, "height": h, "width": w},
+        "dims": {"state": JOINTS, "cmd": cmd, "height": h, "width": w},
         "dt": episode.scene.dt,
         "seed": episode.seed,
         "outcome": episode.outcome,
         "scene": config_to_dict(episode.scene),
     }
     (d / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    records = np.empty(n, dtype=steps_dtype(h, w, has_cmd))
+    records = np.empty(n, dtype=steps_dtype(h, w, episode.variant))
     if n:
         records["state"] = episode.states
-        if has_cmd:
-            records["cmd"] = episode.cmds
         records["rgb"] = episode.rgb
         records["disparity"] = episode.disparity
     with open(d / "steps.bin", "wb") as fh:
@@ -147,9 +151,8 @@ def load_episode(dirpath) -> Episode:
         variant = read("variant", one_of("short", "long"))
         n = read("steps", _count)
         dims = reader(read("dims"), ("state", "cmd", "height", "width"), "dims.")
-        has_cmd = variant == "long"
-        dims("cmd", one_of(2 if has_cmd else 0))
-        dtype = steps_dtype(dims("height", _count), dims("width", _count), has_cmd)
+        dims("cmd", one_of(state_dim(variant) - JOINTS))
+        dtype = steps_dtype(dims("height", _count), dims("width", _count), variant)
         seed, outcome = read("seed", _count), read("outcome", one_of("DONE", "FAILED"))
         scene = read("scene", config_from_dict)
         scene.validate()
@@ -169,7 +172,6 @@ def load_episode(dirpath) -> Episode:
     records = np.frombuffer(blob, dtype, count=n, offset=12)
     return Episode(
         states=records["state"].copy(),
-        cmds=records["cmd"].copy() if has_cmd else None,
         rgb=records["rgb"].copy(),
         disparity=records["disparity"].copy(),
         variant=variant,
@@ -198,60 +200,40 @@ def load_dataset(root, include_failed: bool = False) -> list:
 
 @dataclass
 class NormStats:
-    state_min: np.ndarray
+    state_min: np.ndarray             # per learner-state dimension (see dataset_state_dim)
     state_max: np.ndarray
     state_flags: np.ndarray           # True where the dimension is degenerate
-    cmd_min: np.ndarray | None
-    cmd_max: np.ndarray | None
-    cmd_flags: np.ndarray | None
     image_mean: np.ndarray            # per RGB channel, on [0, 1] values
     image_std: np.ndarray
     disp_mean: float                  # zeros (no-hit pixels) excluded
     disp_std: float
 
-    @property
-    def has_cmd(self) -> bool:
-        return self.cmd_min is not None
-
-    def bounds(self, include_cmd: bool):
-        """(min, max, degenerate flags) for the learner state vector."""
-        if not include_cmd:
-            return self.state_min, self.state_max, self.state_flags
-        if not self.has_cmd:
-            raise DatasetError("stats carry no command bounds")
-        return (
-            np.concatenate([self.state_min, self.cmd_min]),
-            np.concatenate([self.state_max, self.cmd_max]),
-            np.concatenate([self.state_flags, self.cmd_flags]),
-        )
-
     def to_dict(self) -> dict:
-        return {
-            "state_min": self.state_min.tolist(),
-            "state_max": self.state_max.tolist(),
-            "state_flags": self.state_flags.astype(int).tolist(),
-            "cmd_min": None if self.cmd_min is None else self.cmd_min.tolist(),
-            "cmd_max": None if self.cmd_max is None else self.cmd_max.tolist(),
-            "cmd_flags": None if self.cmd_flags is None else self.cmd_flags.astype(int).tolist(),
-            "image_mean": self.image_mean.tolist(),
-            "image_std": self.image_std.tolist(),
-            "disp_mean": self.disp_mean,
-            "disp_std": self.disp_std,
-        }
+        """The JSON form: the joints' bounds under state_*, (v, omega)'s under cmd_*
+        (null when the stats have none)."""
+        d = {"image_mean": self.image_mean.tolist(), "image_std": self.image_std.tolist(),
+             "disp_mean": self.disp_mean, "disp_std": self.disp_std}
+        for suffix, values in (("min", self.state_min), ("max", self.state_max),
+                               ("flags", self.state_flags.astype(int))):
+            d[f"state_{suffix}"] = values[:JOINTS].tolist()
+            d[f"cmd_{suffix}"] = values[JOINTS:].tolist() or None
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
         """Decode to_dict's output; a bad key raises ValueError naming it."""
-        read = reader(d, [f.name for f in fields(cls)], "")
+        read = reader(d, ("state_min", "state_max", "state_flags", "cmd_min", "cmd_max",
+                          "cmd_flags", "image_mean", "image_std", "disp_mean", "disp_std"), "")
         cmd = one_of(None) if read("cmd_min") is None else vec(2)  # all three keys alike
-        cmd_flags = read("cmd_flags", cmd)
+
+        def joined(suffix):
+            joints, tail = read(f"state_{suffix}", vec(JOINTS)), read(f"cmd_{suffix}", cmd)
+            return joints if tail is None else np.concatenate([joints, tail])
+
         return cls(
-            state_min=read("state_min", vec(5)),
-            state_max=read("state_max", vec(5)),
-            state_flags=read("state_flags", vec(5)) != 0,
-            cmd_min=read("cmd_min", cmd),
-            cmd_max=read("cmd_max", cmd),
-            cmd_flags=None if cmd_flags is None else cmd_flags != 0,
+            state_min=joined("min"),
+            state_max=joined("max"),
+            state_flags=joined("flags") != 0,
             image_mean=read("image_mean", vec(3)),
             image_std=read("image_std", bounded(vec(3), 0.0)),
             disp_mean=read("disp_mean", finite_float),
@@ -272,30 +254,21 @@ def load_stats(path) -> NormStats:
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def _min_max(mat: np.ndarray):
-    mn = mat.min(axis=0).astype(float)
-    mx = mat.max(axis=0).astype(float)
-    flags = mx <= mn
-    return mn, mx, flags
-
-
 def compute_norm_stats(episodes) -> NormStats:
     """Single pass over every step of the given episodes.
 
-    State and command bounds are per-dimension min/max; image statistics are
+    State bounds are per-dimension min/max over the first
+    `dataset_state_dim(episodes)` dimensions; image statistics are
     per-channel mean/std of the RGB values mapped to [0, 1]; disparity
     statistics are scalar with zero (no-hit) pixels excluded. Degenerate
     dimensions are flagged; degenerate stds are forced to 1.
     """
     if not episodes:
         raise DatasetError("no episodes to compute statistics from")
-    states = np.concatenate([e.states for e in episodes], axis=0)
-    state_min, state_max, state_flags = _min_max(states)
-
-    cmd_min = cmd_max = cmd_flags = None
-    if all(e.variant == "long" for e in episodes):
-        cmds = np.concatenate([e.cmds for e in episodes], axis=0)
-        cmd_min, cmd_max, cmd_flags = _min_max(cmds)
+    d = dataset_state_dim(episodes)
+    states = np.concatenate([e.states[:, :d] for e in episodes], axis=0)
+    state_min = states.min(axis=0).astype(float)
+    state_max = states.max(axis=0).astype(float)
 
     px_sum = np.zeros(3)
     px_sq = np.zeros(3)
@@ -328,24 +301,28 @@ def compute_norm_stats(episodes) -> NormStats:
         disp_mean, disp_std = 0.0, 1.0
 
     return NormStats(
-        state_min=state_min, state_max=state_max, state_flags=state_flags,
-        cmd_min=cmd_min, cmd_max=cmd_max, cmd_flags=cmd_flags,
+        state_min=state_min, state_max=state_max, state_flags=state_max <= state_min,
         image_mean=image_mean, image_std=image_std,
         disp_mean=float(disp_mean), disp_std=float(disp_std),
     )
 
 
+def _bounds(x: np.ndarray, stats: NormStats):
+    """(min, max, degenerate flags) for x's state length: all of the stats', or
+    the joints' alone (a joints-only vector against long stats)."""
+    d = x.shape[-1]
+    if d not in (JOINTS, stats.state_min.size):
+        raise DatasetError(f"state dimension {d} does not match stats {stats.state_min.size}")
+    return stats.state_min[:d], stats.state_max[:d], stats.state_flags[:d]
+
+
 def normalize_state(x: np.ndarray, stats: NormStats) -> np.ndarray:
     """Map to [0, 1] per dimension; degenerate dimensions map to 0.5.
 
-    Accepts the 5-dim joint vector or the 7-dim joints + command vector
-    (the latter requires command bounds in the stats). Works on a single
-    vector or a batch with the dimension last.
+    Works on a single vector or a batch with the dimension last.
     """
     x = np.asarray(x, dtype=float)
-    mn, mx, flags = stats.bounds(include_cmd=x.shape[-1] == stats.state_min.size + 2)
-    if x.shape[-1] != mn.size:
-        raise DatasetError(f"state dimension {x.shape[-1]} does not match stats {mn.size}")
+    mn, mx, flags = _bounds(x, stats)
     span = np.where(flags, 1.0, mx - mn)
     out = (x - mn) / span
     return np.where(flags, 0.5, out)
@@ -354,8 +331,6 @@ def normalize_state(x: np.ndarray, stats: NormStats) -> np.ndarray:
 def denormalize_state(y: np.ndarray, stats: NormStats) -> np.ndarray:
     """Inverse of normalize_state; degenerate dimensions return their min."""
     y = np.asarray(y, dtype=float)
-    mn, mx, flags = stats.bounds(include_cmd=y.shape[-1] == stats.state_min.size + 2)
-    if y.shape[-1] != mn.size:
-        raise DatasetError(f"state dimension {y.shape[-1]} does not match stats {mn.size}")
+    mn, mx, flags = _bounds(y, stats)
     out = y * (mx - mn) + mn
     return np.where(flags, mn, out)

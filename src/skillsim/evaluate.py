@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DatasetError, denormalize_state
-from .models import PolicyBundle, predict_next, normalized_state_input
+from .dataset import JOINTS, DatasetError, denormalize_state, normalize_state
+from .models import PolicyBundle, predict_next
 from .sim import BaseCommand, World
 
 MAX_STEPS = 300   # rollout step budget
@@ -66,7 +66,7 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
             f"(d={bundle.d_state}), scenario is {scenario.variant}-variant")
     world = World(scenario.config)
     hidden = bundle.predictor.zero_state(1)
-    cmd = np.zeros(2) if scenario.variant == "long" else None
+    state = np.zeros(bundle.d_state)  # the joints, then the last (v, omega) when long
 
     touched_tick = None
     grasped = False
@@ -75,17 +75,14 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
         frame = world.render()
         if frame_sink is not None:
             frame_sink(t, frame)
-        state_norm = normalized_state_input(world.state.joints, cmd, bundle.stats)
-        pred_norm, hidden = predict_next(bundle, frame, state_norm, hidden)
+        state[:JOINTS] = world.state.joints
+        pred_norm, hidden = predict_next(bundle, frame, normalize_state(state, bundle.stats),
+                                         hidden)
         pred = denormalize_state(pred_norm, bundle.stats)
         if not np.isfinite(pred).all():
             break
-        joint_target = pred[:5]
-        base_cmd = BaseCommand()
-        if scenario.variant == "long":
-            cmd = pred[5:7]
-            base_cmd = BaseCommand(float(cmd[0]), float(cmd[1]))
-        world.step(base_cmd, joint_target)
+        state[JOINTS:] = pred[JOINTS:]
+        world.step(BaseCommand(*state[JOINTS:].tolist()), pred[:JOINTS])
         steps = t + 1
         if touched_tick is None and world.touching():
             touched_tick = t
@@ -123,12 +120,9 @@ def evaluate_suite(bundle: PolicyBundle, scenarios: list, max_steps: int = MAX_S
     reports = [rollout(bundle, sc, max_steps,
                        frame_sink_for(sc.label) if frame_sink_for else None)
                for sc in scenarios]
-    touched = [r for r in reports if r.touched]
     aggregates = {
-        "touch_rate": len(touched) / len(reports),
+        "touch_rate": sum(r.touched for r in reports) / len(reports),
         "grasp_rate": sum(r.grasped for r in reports) / len(reports),
-        "mean_ticks_to_touch": (
-            float(np.mean([r.ticks_to_touch for r in touched])) if touched else None),
         "mean_final_tip_distance_m": float(np.mean([r.final_tip_distance for r in reports])),
     }
     return reports, aggregates

@@ -58,16 +58,8 @@ class ExpertParams:
     lift_height_m: float = 0.15
     locate_noise_sigma: float = 0.005
     yaw_jitter_rad: float = 0.2
-    yaw_jitter: str = "auto"              # auto | on | off
     max_ticks: int = 3000
     perception: PerceptionParams = field(default_factory=PerceptionParams)
-
-    def jitter_enabled(self, variant: str) -> bool:
-        if self.yaw_jitter == "on":
-            return True
-        if self.yaw_jitter == "off":
-            return False
-        return variant == "long"
 
 
 @dataclass
@@ -174,10 +166,7 @@ class _Run:
     def locate_with_camera(self) -> np.ndarray:
         frame = self.world.render()
         color = self.world.config.object(self.target_id).color
-        try:
-            return locate_object(frame, color, self.params.perception)
-        except PerceptionError as exc:
-            self.fail(str(exc))
+        return locate_object(frame, color, self.params.perception)
 
     def align_to(self, point_xy: np.ndarray):
         """Rotate in place until the base heading points exactly at point_xy."""
@@ -196,9 +185,8 @@ class _Run:
         start_xy = self.world.state.base[:2]
         away = start_xy - estimate[:2]
         bearing = float(np.arctan2(away[1], away[0]))
-        if self.params.jitter_enabled(self.variant):
-            bearing += float(self.rng.uniform(-self.params.yaw_jitter_rad,
-                                              self.params.yaw_jitter_rad))
+        bearing += float(self.rng.uniform(-self.params.yaw_jitter_rad,
+                                          self.params.yaw_jitter_rad))
         # plan with extra clearance so pure-pursuit corner cutting never
         # brings the base into contact; slide the standoff outward if the
         # padded inflation swallows it
@@ -212,10 +200,7 @@ class _Run:
                 break
         if standoff is None:
             self.fail("pose in collision")
-        try:
-            path = astar(grid, start_xy, standoff)
-        except PlanningError as exc:
-            self.fail(str(exc))
+        path = astar(grid, start_xy, standoff)
         home = self.world.state.joints.copy()
         last_pos = self.world.state.base[:2].copy()
         stalled = 0
@@ -248,11 +233,8 @@ class _Run:
         return np.array([x + forward * u[0], y + forward * u[1], point[2]])
 
     def move_arm_to(self, tip_target: np.ndarray) -> np.ndarray:
-        try:
-            goal = kinematics.ik(tip_target, self.world.state.joints, self.world.state.base)
-            plan = plan_arm(self.world.state.joints, goal, self.world)
-        except (IkError, ArmPlanError) as exc:
-            self.fail(str(exc))
+        goal = kinematics.ik(tip_target, self.world.state.joints, self.world.state.base)
+        plan = plan_arm(self.world.state.joints, goal, self.world)
         for q in plan.joint_waypoints[1:]:
             self.drive(BaseCommand(), q)
         return goal

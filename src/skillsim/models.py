@@ -18,7 +18,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import nn
-from .dataset import NormStats, normalize_state
+from .dataset import NormStats, state_dim
 from .imaging import block_mean
 from .scene import one_of, reader
 
@@ -248,10 +248,10 @@ class PolicyBundle:
 
     @property
     def variant(self) -> str:
-        variants = {5: "short", 7: "long"}
+        variants = {state_dim(v): v for v in ("short", "long")}
         if self.d_state not in variants:
             raise ModelError(f"predictor state dimension {self.d_state} is neither "
-                             f"5 (short) nor 7 (long)")
+                             + " nor ".join(f"{d} ({v})" for d, v in variants.items()))
         return variants[self.d_state]
 
     def encode_frame(self, frame) -> np.ndarray:
@@ -279,10 +279,3 @@ def predict_next(bundle: PolicyBundle, frame, state_norm: np.ndarray, hidden):
     x = np.concatenate([z, np.asarray(state_norm, dtype=np.float32)])[None, :]
     y, hidden2 = bundle.predictor.step(x.astype(np.float32), hidden)
     return y[0], hidden2
-
-
-def normalized_state_input(joints: np.ndarray, cmd, stats: NormStats) -> np.ndarray:
-    if cmd is None:
-        return normalize_state(np.asarray(joints, dtype=float), stats)
-    full = np.concatenate([np.asarray(joints, dtype=float), np.asarray(cmd, dtype=float)])
-    return normalize_state(full, stats)

@@ -52,11 +52,16 @@ class PerceptionParams:
     color_threshold: float = 0.25
 
     def validate(self):
-        if self.leaf <= 0:
-            raise ValueError("leaf must be positive")
+        _check_positive(self.leaf, "leaf")
         _check_k_alpha(self.k_neighbors, self.alpha, "k_neighbors")
         if not 0 < self.color_threshold <= np.sqrt(3.0):
             raise ValueError("color_threshold must be in (0, sqrt(3)]")
+
+
+def _check_positive(value, name: str):
+    """Raise ValueError unless value is finite and positive (NaN and inf are not)."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_k_alpha(k, alpha, k_name: str = "k"):
@@ -74,8 +79,7 @@ def voxel_grid_filter(cloud: PointCloud, leaf: float) -> PointCloud:
     of each cell are averaged in a canonical order so the result is exactly
     invariant to permutations of the input.
     """
-    if leaf <= 0:
-        raise ValueError("leaf must be positive")
+    _check_positive(leaf, "leaf")
     if len(cloud) == 0:
         return PointCloud.empty()
     pos, col = cloud.positions, cloud.colors
@@ -240,8 +244,7 @@ def statistical_outlier_removal(cloud: PointCloud, k: int, alpha: float) -> Poin
 
 def color_segment(cloud: PointCloud, target: np.ndarray, threshold: float) -> PointCloud:
     """Keep points whose RGB Euclidean distance to `target` is at most `threshold`."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _check_positive(threshold, "threshold")
     target = np.asarray(target, dtype=float)
     diff = cloud.colors - target[None, :]
     keep = np.sqrt(np.sum(diff * diff, axis=1)) <= threshold

@@ -15,7 +15,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import nn
-from .dataset import NormStats, normalize_state
+from .dataset import NormStats, dataset_state_dim, normalize_state
 from .models import Autoencoder, Predictor, standardize_disparity, standardize_rgb
 
 log = logging.getLogger(__name__)
@@ -103,7 +103,7 @@ def train_autoencoder(episodes, modality: str, stats: NormStats, config: TrainCo
 def _episode_sequences(episodes, enc_rgb: Autoencoder, enc_disp: Autoencoder,
                        stats: NormStats, config: TrainConfig):
     """Per-episode (inputs, targets) arrays for one-step prediction."""
-    include_cmd = all(e.variant == "long" for e in episodes)
+    d = dataset_state_dim(episodes)
     seqs = []
     for ep in episodes:
         if len(ep) < 2:
@@ -112,10 +112,7 @@ def _episode_sequences(episodes, enc_rgb: Autoencoder, enc_disp: Autoencoder,
         rgb = standardize_rgb(ep.rgb, stats, config.downscale)
         disp = standardize_disparity(ep.disparity, stats, config.downscale)
         z = np.concatenate([enc_rgb.encode(rgb), enc_disp.encode(disp)], axis=1)
-        state = ep.states.astype(float)
-        if include_cmd:
-            state = np.concatenate([state, ep.cmds.astype(float)], axis=1)
-        state_n = normalize_state(state, stats).astype(np.float32)
+        state_n = normalize_state(ep.states[:, :d], stats).astype(np.float32)
         x = np.concatenate([z[:-1], state_n[:-1]], axis=1)
         seqs.append((x.astype(np.float32), state_n[1:]))
     if not seqs:

@@ -38,7 +38,7 @@ def test_bad_value_rejected():
     with pytest.raises(ConfigError, match="bad value"):
         load_run_config(overrides=["learner.epochs=0"])
     with pytest.raises(ConfigError, match="bad value"):
-        load_run_config(overrides=["expert.yaw_jitter=sometimes"])
+        load_run_config(overrides=["expert.yaw_jitter_rad=wide"])
 
 
 def test_missing_file_rejected(tmp_path):
@@ -81,7 +81,6 @@ def test_registry_keys_and_defaults_pinned():
         "expert.lift_height_m": 0.15,
         "expert.locate_noise_sigma": 0.005,
         "expert.yaw_jitter_rad": 0.2,
-        "expert.yaw_jitter": "auto",
         "expert.max_ticks": 3000,
         "learner.epochs": 1000,
         "learner.ae_epochs": 120,

@@ -21,7 +21,7 @@ perception.leaf = 0.02
 learner.epochs = 50
 learner.lr = 0.001
 sim.depth_noise_sigma = 0.001
-expert.yaw_jitter = on
+expert.yaw_jitter_rad = 0.3
 """
 
 
@@ -29,8 +29,8 @@ def tiny_episode():
     rng = np.random.default_rng(0)
     steps, h, w = 2, 2, 3
     return Episode(
-        states=rng.uniform(0, 1, (steps, 5)).astype(np.float32),
-        cmds=rng.uniform(-1, 1, (steps, 2)).astype(np.float32),
+        states=np.concatenate([rng.uniform(0, 1, (steps, 5)), rng.uniform(-1, 1, (steps, 2))],
+                              axis=1).astype(np.float32),
         rgb=rng.integers(0, 256, (steps, h, w, 3), dtype=np.uint8),
         disparity=rng.uniform(0, 8, (steps, h, w)).astype(np.float32),
         variant="long", scene=make_long_scene(0), outcome="DONE", seed=0)

@@ -19,6 +19,7 @@ from skillsim.dataset import (
     normalize_state,
     record,
     save_episode,
+    state_dim,
 )
 from skillsim.scene import config_from_dict, config_to_dict, make_long_scene, make_short_scene
 
@@ -26,18 +27,16 @@ from skillsim.scene import config_from_dict, config_to_dict, make_long_scene, ma
 def episodes_equal(a, b):
     if (a.variant, a.outcome, a.seed, len(a)) != (b.variant, b.outcome, b.seed, len(b)):
         return False
-    if (a.cmds is None) != (b.cmds is None):
-        return False
-    columns = ["states", "rgb", "disparity"] + (["cmds"] if a.cmds is not None else [])
     return all(getattr(a, c).dtype == getattr(b, c).dtype
-               and np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
+               and np.array_equal(getattr(a, c), getattr(b, c))
+               for c in ("states", "rgb", "disparity"))
 
 
 def synthetic_episode(rng, steps=12, variant="short", h=8, w=8, outcome="DONE", seed=0):
     return Episode(
-        states=rng.uniform(0, 1, (steps, 5)).astype(np.float32),
-        cmds=(rng.uniform(-1, 1, (steps, 2)).astype(np.float32)
-              if variant == "long" else None),
+        states=np.concatenate([rng.uniform(0, 1, (steps, 5)),
+                               rng.uniform(-1, 1, (steps, state_dim(variant) - 5))],
+                              axis=1).astype(np.float32),
         rgb=rng.integers(0, 256, (steps, h, w, 3), dtype=np.uint8),
         disparity=(rng.uniform(0, 8, (steps, h, w))
                    * (rng.uniform(size=(steps, h, w)) > 0.1)).astype(np.float32),
@@ -67,7 +66,6 @@ def test_record_short_episode(short_episode):
     ep = short_episode
     assert ep.outcome == "DONE"
     assert ep.variant == "short"
-    assert ep.cmds is None
     assert ep.states.shape == (len(ep), 5) and ep.states.dtype == np.float32
     assert ep.rgb.shape == (len(ep), 64, 64, 3) and ep.rgb.dtype == np.uint8
     assert ep.disparity.shape == (len(ep), 64, 64) and ep.disparity.dtype == np.float32
@@ -78,8 +76,18 @@ def test_record_long_episode_carries_commands():
     transcript = run_expert(World(cfg), cfg.target_id, "long")
     ep = record(transcript)
     assert ep.variant == "long"
-    assert ep.cmds.shape == (len(ep), 2) and ep.cmds.dtype == np.float32
-    assert np.any(ep.cmds != 0)
+    assert ep.states.shape == (len(ep), 7) and ep.states.dtype == np.float32
+    commands = np.array([(rec.v, rec.omega) for rec in transcript.ticks], dtype=np.float32)
+    assert np.array_equal(ep.states[:, 5:], commands)
+    assert np.any(commands != 0)
+
+
+def test_record_long_run_failed_before_any_tick():
+    cfg = make_long_scene(0)
+    cfg.robot_start = cfg.robot_start + np.array([0.0, 0.0, np.pi])  # target out of view
+    ep = record(run_expert(World(cfg), cfg.target_id, "long"))
+    assert ep.outcome == "FAILED"
+    assert ep.states.shape == (0, 7) and ep.rgb.shape == (0, 64, 64, 3)
 
 
 def test_record_failed_run_kept():
@@ -139,8 +147,8 @@ def test_steps_file_golden_bytes(tmp_path):
     save_episode(ep, tmp_path / "ep")
     expected = b"SKLDSET1" + struct.pack("<I", 2)
     for t in range(2):
-        expected += struct.pack("<5f", *ep.states[t].tolist())
-        expected += struct.pack("<2f", *ep.cmds[t].tolist())
+        expected += struct.pack("<5f", *ep.states[t, :5].tolist())
+        expected += struct.pack("<2f", *ep.states[t, 5:].tolist())
         expected += bytes(ep.rgb[t].ravel().tolist())
         expected += struct.pack("<6f", *ep.disparity[t].ravel().tolist())
     assert (tmp_path / "ep" / "steps.bin").read_bytes() == expected
@@ -334,13 +342,14 @@ def test_normalize_long_variant_with_commands():
     episodes = [synthetic_episode(rng, steps=20, variant="long", seed=i)
                 for i in range(2)]
     stats = compute_norm_stats(episodes)
-    assert stats.has_cmd
-    full = np.concatenate([episodes[0].states[3].astype(float),
-                           episodes[0].cmds[3].astype(float)])
+    assert stats.state_min.shape == (7,)
+    full = episodes[0].states[3].astype(float)
     normed = normalize_state(full, stats)
     assert normed.shape == (7,)
     back = denormalize_state(normed, stats)
     assert np.max(np.abs(back - full)) < 1e-9
+    # the joints alone normalize against the joints' bounds of long stats
+    assert np.array_equal(normalize_state(full[:5], stats), normed[:5])
 
 
 def test_stats_json_round_trip():
@@ -351,7 +360,7 @@ def test_stats_json_round_trip():
     back = NormStats.from_dict(json.loads(json.dumps(stats.to_dict())))
     assert np.array_equal(back.state_min, stats.state_min)
     assert np.array_equal(back.state_max, stats.state_max)
-    assert np.array_equal(back.cmd_min, stats.cmd_min)
+    assert np.array_equal(back.state_flags, stats.state_flags)
     assert back.disp_mean == stats.disp_mean
     assert back.disp_std == stats.disp_std
 

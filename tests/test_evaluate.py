@@ -13,11 +13,9 @@ from skillsim.scene import make_long_scene, make_scene, make_short_scene
 def untrained_bundle(d_state=5, seed=0):
     rng = np.random.default_rng(seed)
     stats = NormStats(
-        state_min=np.zeros(5), state_max=np.array([0.35, 2, 2, 2, 1.0]),
-        state_flags=np.zeros(5, bool),
-        cmd_min=np.array([-0.5, -1.0]) if d_state == 7 else None,
-        cmd_max=np.array([0.5, 1.0]) if d_state == 7 else None,
-        cmd_flags=np.zeros(2, bool) if d_state == 7 else None,
+        state_min=np.array([0.0, 0, 0, 0, 0, -0.5, -1.0])[:d_state],
+        state_max=np.array([0.35, 2, 2, 2, 1.0, 0.5, 1.0])[:d_state],
+        state_flags=np.zeros(d_state, bool),
         image_mean=np.full(3, 0.5), image_std=np.full(3, 0.25),
         disp_mean=4.0, disp_std=2.0,
     )

@@ -128,6 +128,17 @@ def test_long_expert_navigates_before_arm_motion():
     assert_phase_prefix(transcript)
 
 
+def test_long_expert_target_out_of_view_fails_not_found():
+    """The camera faces away from the table, so the color segment is empty."""
+    cfg = make_long_scene(0)
+    cfg.robot_start = cfg.robot_start + np.array([0.0, 0.0, np.pi])
+    transcript = run_expert(World(cfg), cfg.target_id, "long")
+    assert transcript.outcome == "FAILED"
+    assert transcript.failure == "object not found"
+    assert transcript.phases == [(0, ExpertPhase.LOCATE), (0, ExpertPhase.FAILED)]
+    assert transcript.ticks == []
+
+
 def test_long_expert_start_three_meters_away():
     cfg = make_long_scene(3, start_distance=(3.0, 3.0))
     start = cfg.robot_start[:2]

@@ -116,7 +116,6 @@ def small_bundle(rgb_hw=16, disp_hw=16, d_state=5):
     rng = np.random.default_rng(7)
     stats = NormStats(
         state_min=np.zeros(5), state_max=np.ones(5), state_flags=np.zeros(5, bool),
-        cmd_min=None, cmd_max=None, cmd_flags=None,
         image_mean=np.full(3, 0.5), image_std=np.full(3, 0.25), disp_mean=4.0, disp_std=2.0,
     )
     return PolicyBundle(Autoencoder(3, rgb_hw, 4, rng), Autoencoder(1, disp_hw, 4, rng),

@@ -291,6 +291,26 @@ def test_sor_monotone_in_alpha():
 # color segmentation and centroid
 
 
+@pytest.mark.parametrize("leaf", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+def test_voxel_rejects_non_finite_or_non_positive_leaf(leaf):
+    """A NaN or inf leaf once collapsed a 100-point cloud into one point."""
+    cloud = random_cloud(np.random.default_rng(0), 100)
+    with pytest.raises(ValueError, match=r"^leaf must be finite and positive"):
+        voxel_grid_filter(cloud, leaf)
+    with pytest.raises(ValueError, match=r"^leaf must be finite and positive"):
+        PerceptionParams(leaf=leaf).validate()
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, 0.0, -0.25])
+def test_color_segment_rejects_non_finite_or_non_positive_threshold(threshold):
+    """A NaN threshold once kept no point of 100 and an infinite one kept all."""
+    cloud = random_cloud(np.random.default_rng(0), 100)
+    with pytest.raises(ValueError, match=r"^threshold must be finite and positive"):
+        color_segment(cloud, np.array([0.5, 0.5, 0.5]), threshold)
+    with pytest.raises(ValueError, match=r"^color_threshold must be in"):
+        PerceptionParams(color_threshold=threshold).validate()
+
+
 def test_color_segment_identity_and_empty():
     rng = np.random.default_rng(6)
     target = np.array([0.8, 0.1, 0.1])

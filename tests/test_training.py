@@ -5,6 +5,7 @@ import pytest
 
 from skillsim.dataset import Episode, compute_norm_stats, normalize_state
 from skillsim.models import (
+    Autoencoder,
     PolicyBundle,
     predict_next,
     standardize_disparity,
@@ -27,7 +28,7 @@ def make_episode(rng, steps, variant="short", constant=False, seed=0, h=16, w=16
     a smooth disparity ramp whose scale varies per step."""
     ramp = np.linspace(1.0, 4.0, h)[:, None] * np.ones((1, w))
     color = rng.uniform(0.2, 0.8, 3)
-    states, cmds, rgb, disparity = [], [], [], []
+    states, rgb, disparity = [], [], []
     state = rng.uniform(0.2, 0.8, 5)
     for _ in range(steps):
         if not constant:
@@ -35,12 +36,12 @@ def make_episode(rng, steps, variant="short", constant=False, seed=0, h=16, w=16
             color = np.clip(color + rng.normal(0, 0.03, 3), 0, 1)
         rgb.append(np.rint(np.ones((h, w, 3)) * color * 255).astype(np.uint8))
         scale = 1.0 if constant else float(rng.uniform(0.8, 1.2))
-        states.append(state.astype(np.float32))
-        if variant == "long":
-            cmds.append(rng.uniform(-0.5, 0.5, 2).astype(np.float32))
+        if variant == "long":  # the joints, then (v, omega)
+            states.append(np.concatenate([state, rng.uniform(-0.5, 0.5, 2)]).astype(np.float32))
+        else:
+            states.append(state.astype(np.float32))
         disparity.append((ramp * scale).astype(np.float32))
-    return Episode(states=np.stack(states), cmds=np.stack(cmds) if cmds else None,
-                   rgb=np.stack(rgb), disparity=np.stack(disparity), variant=variant,
+    return Episode(states=np.stack(states), rgb=np.stack(rgb), disparity=np.stack(disparity), variant=variant,
                    scene=make_short_scene(seed), outcome="DONE", seed=seed)
 
 
@@ -164,6 +165,22 @@ def test_predict_next_matches_training_forward(tiny_corpus):
         frame = FrameStub(ep.rgb[t], ep.disparity[t])
         y, hidden = predict_next(bundle, frame, states[t], hidden)
         assert np.max(np.abs(y - batched[t])) < 1e-6
+
+
+def test_mixed_dataset_learns_the_joints_alone():
+    """The learner state is the joints alone unless every episode is long, in the
+    statistics and in the predictor alike."""
+    rng = np.random.default_rng(6)
+    long_eps = [make_episode(rng, 12, variant="long", seed=i) for i in range(2)]
+    short_ep = make_episode(rng, 12, seed=2)
+    encoders = Autoencoder(3, 8, 8, rng), Autoencoder(1, 8, 8, rng)
+    cfg = TrainConfig(epochs=2, ae_epochs=1, batch=32, downscale=2, latent=8,
+                      hidden=16, seed=0)
+    for episodes, d_state in ((long_eps, 7), (long_eps + [short_ep], 5)):
+        stats = compute_norm_stats(episodes)
+        assert stats.state_min.shape == (d_state,)
+        predictor, _ = train_predictor(episodes, *encoders, stats, cfg)
+        assert predictor.d_state == d_state
 
 
 def test_loss_curve_trailing_mean_improves(tiny_corpus):
