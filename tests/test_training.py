@@ -36,13 +36,12 @@ def make_episode(rng, steps, variant="short", constant=False, seed=0, h=16, w=16
             color = np.clip(color + rng.normal(0, 0.03, 3), 0, 1)
         rgb.append(np.rint(np.ones((h, w, 3)) * color * 255).astype(np.uint8))
         scale = 1.0 if constant else float(rng.uniform(0.8, 1.2))
-        if variant == "long":  # the joints, then (v, omega)
-            states.append(np.concatenate([state, rng.uniform(-0.5, 0.5, 2)]).astype(np.float32))
-        else:
-            states.append(state.astype(np.float32))
+        # a long episode's state is the joints, then (v, omega)
+        row = state if variant == "short" else np.concatenate([state, rng.uniform(-0.5, 0.5, 2)])
+        states.append(row.astype(np.float32))
         disparity.append((ramp * scale).astype(np.float32))
-    return Episode(states=np.stack(states), rgb=np.stack(rgb), disparity=np.stack(disparity), variant=variant,
-                   scene=make_short_scene(seed), outcome="DONE", seed=seed)
+    return Episode(states=np.stack(states), rgb=np.stack(rgb), disparity=np.stack(disparity),
+                   variant=variant, scene=make_short_scene(seed), outcome="DONE", seed=seed)
 
 
 @pytest.fixture(scope="module")
