@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skillsim import BaseCommand, ObjectSpec, World, WorldConfig, sim
 from skillsim.kinematics import JOINT_HIGH, JOINT_LOW, fk
@@ -375,6 +376,10 @@ class Lockstep:
         for w in (self.world, self.ref):
             w.state.base = np.array(base, dtype=float)
 
+    def move_object(self, object_id, center):
+        for w in (self.world, self.ref):
+            w.object_centers[object_id] = np.array(center, dtype=float)
+
     def step(self, cmd, target):
         for w in (self.world, self.ref):
             w.step(cmd, target)
@@ -453,6 +458,99 @@ def test_render_bit_equal_to_reference_while_carrying_the_target():
     for _ in range(3):                           # lift at its target: nothing moves
         run.step(BaseCommand(), target)
         run.render()
+
+
+def view_point(world, px, py, depth):
+    """The world point `depth` along the ray through image point (px, py), where
+    pixel column c spans [c, c + 1); a negative depth lies behind the camera."""
+    cam = world.config.camera
+    origin, rot = world.camera_pose()
+    ray = np.array([(px - cam.width / 2.0) / cam.focal_px,
+                    (py - cam.height / 2.0) / cam.focal_px, 1.0])
+    return origin + rot @ (depth * ray)
+
+
+def corner_depths(world, center, half):
+    """Camera-frame z of the 8 corners of the cube at center with half extent half."""
+    origin, rot = world.camera_pose()
+    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    return ((center + half * signs - origin) @ rot)[:, 2]
+
+
+# (case, pitch, (px, py, depth) of box0's center, half extent, where its
+# corners lie, the image edge its pixels must reach or "none" for no pixel)
+VIEW_CASES = [
+    ("behind the camera", 0.6, (32, 32, -0.5), 0.05, "behind", "none"),
+    ("across the image plane", 0.6, (100, 32, 0.2), 0.15, "across", None),
+    ("around the camera", 0.6, (32, 32, 0.0), 0.2, "across", None),
+    ("clipped at the left edge", 0.6, (0.3, 32, 1.0), 0.03, "front", "left"),
+    ("clipped at the right edge", 0.6, (63.7, 32, 1.0), 0.03, "front", "right"),
+    ("clipped at the top edge", 0.6, (32, 0.3, 1.0), 0.03, "front", "top"),
+    ("clipped at the bottom edge", 0.6, (32, 63.7, 1.0), 0.03, "front", "bottom"),
+    ("wholly left of the image", 0.6, (-6, 32, 1.0), 0.03, "front", "none"),
+    ("wholly below the image", 0.6, (32, 75, 1.0), 0.03, "front", "none"),
+    ("ahead at pitch 0", 0.0, (32, 32, 1.0), 0.03, "front", None),
+    ("ahead at pitch pi/2", np.pi / 2, (32, 32, 0.8), 0.03, "front", None),
+    ("off-image at pitch pi/2", np.pi / 2, (-9, 20, 0.8), 0.03, "front", "none"),
+]
+EDGES = {"left": (slice(None), 0), "right": (slice(None), -1),
+         "top": (0, slice(None)), "bottom": (-1, slice(None))}
+
+
+@pytest.mark.parametrize("case, pitch, pixel, half, corners, edge", VIEW_CASES,
+                         ids=[c[0] for c in VIEW_CASES])
+def test_render_bit_equal_to_reference_for_a_box_placed_in_view(case, pitch, pixel, half,
+                                                                corners, edge):
+    cfg = single_object_config([1.2, 0.0, 0.43], half=half,
+                               depth_noise_sigma=sim.DEPTH_NOISE_SIGMA)
+    cfg.camera.pitch_rad = pitch
+    run = Lockstep(cfg)
+    center = view_point(run.world, *pixel)
+    run.move_object("box0", center)
+    z = corner_depths(run.world, center, half)
+    assert {"behind": np.all(z < 0), "across": z.min() < 0 < z.max(),
+            "front": np.all(z > 0)}[corners], z
+    frame = run.render()
+    run.render(0.0)
+    box_pixels = frame.hit_ids == run.world.hit_id("box0")
+    if edge == "none":
+        assert not box_pixels.any()
+    elif edge is not None:
+        assert box_pixels[EDGES[edge]].any() and not box_pixels.all()
+
+
+def test_render_bit_equal_to_reference_with_axis_parallel_rays():
+    """Odd width and height at yaw 0, pitch 0: the middle column's rays have a
+    y component of zero, and box0's lower y face lies at the camera's y, so the
+    slab products there are 0 * inf = NaN."""
+    cfg = single_object_config([1.0, 0.03125, 1.1], half=0.03125,
+                               camera=sim.CameraIntrinsics(width=63, height=63, pitch_rad=0.0))
+    run = Lockstep(cfg)
+    origin, rot = run.world.camera_pose()
+    assert np.any((run.world._pixel_dirs @ rot.T)[:, 1] == 0.0)
+    assert cfg.objects[0].center[1] - cfg.objects[0].half_extents[1] == origin[1]
+    frame = run.render()
+    assert np.any(frame.hit_ids[:, 30:33] == run.world.hit_id("box0"))
+    run.render(sim.DEPTH_NOISE_SIGMA)
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=st.sampled_from(("short", "long")), seed=st.integers(0, 19),
+       base=st.tuples(st.floats(-1.0, 2.0), st.floats(-1.5, 1.5), st.floats(-np.pi, np.pi)),
+       pitch=st.sampled_from((0.0, np.pi / 2, sim.CameraIntrinsics().pitch_rad))
+       | st.floats(-0.3, 1.8),
+       target=st.none() | st.tuples(st.floats(-20, 84), st.floats(-20, 84),
+                                    st.floats(-0.4, 1.6)),
+       sigma=st.sampled_from((None, 0.0)))
+def test_render_bit_equal_to_reference_over_random_poses(variant, seed, base, pitch, target,
+                                                         sigma):
+    cfg = make_scene(seed, variant)
+    cfg.camera.pitch_rad = pitch
+    run = Lockstep(cfg)
+    run.set_base(base)
+    if target is not None:  # box0 moved to a point along a ray of the view, or behind it
+        run.move_object("box0", view_point(run.world, *target))
+    run.render(sigma)
 
 
 def test_frames_do_not_share_writable_arrays():
