@@ -38,6 +38,9 @@ HIT_OBSTACLE_BASE = 1000
 
 _FLOOR_LO = np.array([-50.0, -50.0, -1.0])
 _FLOOR_HI = np.array([50.0, 50.0, 0.0])
+# (lo, hi) choice per axis for each of a box's 8 corners
+_CORNER_PICK = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
 
 
 @dataclass
@@ -217,24 +220,28 @@ def in_base_slab(lo: np.ndarray, hi: np.ndarray) -> bool:
     return not (hi[2] <= 0.0 or lo[2] >= BASE_HEIGHT)
 
 
-def _ray_aabb(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _ray_aabb(origin: np.ndarray, inv: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              finite: bool) -> np.ndarray:
     """Entry distance of each ray into an AABB, +inf where the ray misses.
 
-    Distances are in units of the (unnormalized) direction vectors. The slab
-    bounds are reduced column by column with np.maximum/np.minimum; that is
-    bit-equal to `.max(axis=1)`/`.min(axis=1)`, signed zeros included, and
-    avoids numpy's per-row loop over a length-3 axis.
+    `inv` is 1.0 / dirs for rays of any leading shape, and distances are in
+    units of those (unnormalized) directions. The slab bounds are reduced
+    column by column with np.maximum/np.minimum; that is bit-equal to
+    `.max(axis=-1)`/`.min(axis=-1)`, signed zeros included, and avoids
+    numpy's per-row loop over a length-3 axis. `finite` says that every
+    product (lo - origin) * inv and (hi - origin) * inv is known finite; the
+    NaN clamps are then the identity and are skipped. The caller silences
+    numpy's warnings for 0 * inf.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-        ta = (lo[None, :] - origin[None, :]) * inv
-        tb = (hi[None, :] - origin[None, :]) * inv
+    ta = (lo - origin) * inv
+    tb = (hi - origin) * inv
     tlo = np.fmin(ta, tb)
     thi = np.fmax(ta, tb)
-    tlo = np.nan_to_num(tlo, nan=-np.inf)
-    thi = np.nan_to_num(thi, nan=np.inf)
-    tmin = np.maximum(np.maximum(tlo[:, 0], tlo[:, 1]), tlo[:, 2])
-    tmax = np.minimum(np.minimum(thi[:, 0], thi[:, 1]), thi[:, 2])
+    if not finite:
+        tlo = np.nan_to_num(tlo, nan=-np.inf)
+        thi = np.nan_to_num(thi, nan=np.inf)
+    tmin = np.maximum(np.maximum(tlo[..., 0], tlo[..., 1]), tlo[..., 2])
+    tmax = np.minimum(np.minimum(thi[..., 0], thi[..., 1]), thi[..., 2])
     hit = (tmax >= tmin) & (tmax > 0.0)
     return np.where(hit, np.maximum(tmin, 0.0), np.inf)
 
@@ -384,28 +391,70 @@ class World:
     def _cast(self, origin: np.ndarray, rot: np.ndarray, boxes: list) -> tuple:
         """The noiseless part of a frame: (dirs, depth, rgb_f, rgb, hit_ids), flat.
 
-        Each pixel keeps the index of the nearest box it hits, and its color
-        and hit id are gathered from a [sky] + boxes table at the end; that
-        copies the values the boxes hold, bit for bit. The arrays are
-        read-only, since render() hands them to every frame of the same view.
+        Each box is cast only over its pixel window (see `_windows`); pixels
+        outside it keep t = inf, which no box replaces. Each pixel keeps the
+        index of the nearest box it hits, and its color and hit id are
+        gathered from a [sky] + boxes table at the end; that copies the
+        values the boxes hold, bit for bit. The arrays are read-only, since
+        render() hands them to every frame of the same view.
         """
+        cam = self.config.camera
+        h, w = cam.height, cam.width
         dirs = self._pixel_dirs @ rot.T
-        n = dirs.shape[0]
-        t_best = np.full(n, np.inf)
-        idx = np.zeros(n, dtype=np.intp)
-        for j, (lo, hi, _, _) in enumerate(boxes):
-            t = _ray_aabb(origin, dirs, lo, hi)
-            closer = t < t_best
-            np.copyto(t_best, t, where=closer)
-            idx[closer] = j + 1
-        rgb_f = np.array([SKY_COLOR] + [color for _, _, color, _ in boxes], dtype=float)[idx]
-        hit_ids = np.array([HIT_NONE] + [hid for *_, hid in boxes], dtype=np.int32)[idx]
+        lohi = np.array([(lo, hi) for lo, hi, _, _ in boxes])
+        windows = self._windows(origin, rot, lohi)
+        t_best = np.full((h, w), np.inf)
+        idx = np.zeros((h, w), dtype=np.intp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / dirs
+            # With |inv| and |corner - origin| finite and their largest product
+            # finite, no slab product is NaN or inf, so no clamp is needed.
+            finite = np.isfinite(np.abs(lohi - origin).max(axis=(1, 2)) * np.abs(inv).max())
+            inv = inv.reshape(h, w, 3)
+            for j, ((lo, hi, _, _), (r0, r1, c0, c1)) in enumerate(zip(boxes, windows)):
+                if r0 >= r1 or c0 >= c1:
+                    continue
+                t = _ray_aabb(origin, inv[r0:r1, c0:c1], lo, hi, finite[j])
+                best = t_best[r0:r1, c0:c1]
+                closer = t < best
+                np.copyto(best, t, where=closer)
+                idx[r0:r1, c0:c1][closer] = j + 1
+        idx, t_best = idx.ravel(), t_best.ravel()
+        # take() copies the same table rows as fancy indexing, in a third of the time
+        colors = np.array([SKY_COLOR] + [color for _, _, color, _ in boxes], dtype=float)
+        rgb_f = colors.take(idx, axis=0)
+        rgb = np.rint(colors * 255.0).astype(np.uint8).take(idx, axis=0)
+        hit_ids = np.array([HIT_NONE] + [hid for *_, hid in boxes], dtype=np.int32).take(idx)
         depth = np.where(np.isfinite(t_best), t_best, 0.0)
-        rgb = np.rint(rgb_f * 255.0).astype(np.uint8)
         cast = (dirs, depth, rgb_f, rgb, hit_ids)
         for a in cast:
             a.flags.writeable = False
         return cast
+
+    def _windows(self, origin: np.ndarray, rot: np.ndarray, lohi: np.ndarray) -> list:
+        """(r0, r1, c0, c1) per box of `lohi` (B, 2, 3): the pixel rows r0:r1 and
+        columns c0:c1 that can see it.
+
+        With every corner in front of the camera, a box's image lies inside the
+        hull of its corners' images (a box is convex), so the window spans
+        the pixels whose centers lie between the corners' extreme image
+        coordinates, widened by one pixel against rounding and clipped to the
+        image. Pixel i's center is at (i + 0.5 - W/2) / f, as in
+        `_make_pixel_dirs`. A box with a corner not in front of the camera
+        (the floor, a box across the image plane) gets the whole image.
+        """
+        cam = self.config.camera
+        corners = lohi[:, _CORNER_PICK, (0, 1, 2)].reshape(-1, 3)  # (B * 8, 3)
+        xyz = ((corners - origin) @ rot).reshape(-1, 8, 3)
+        ahead = (xyz[:, :, 2] > 0.0).all(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            img = xyz[:, :, :2] / xyz[:, :, 2:] * cam.focal_px
+        size = np.array([cam.width, cam.height])
+        first = np.ceil(img.min(axis=1) + (size / 2.0 - 0.5)) - 1.0
+        stop = np.floor(img.max(axis=1) + (size / 2.0 - 0.5)) + 2.0
+        first = np.where(ahead[:, None], np.clip(first, 0, size), 0).astype(int)
+        stop = np.where(ahead[:, None], np.clip(stop, 0, size), size).astype(int)
+        return [(r0, r1, c0, c1) for (c0, r0), (c1, r1) in zip(first.tolist(), stop.tolist())]
 
     def render(self, depth_noise_sigma: float | None = None) -> SensorFrame:
         """Ray-cast one sensor frame from the current base pose.
