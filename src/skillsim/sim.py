@@ -43,6 +43,12 @@ _CORNER_PICK = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
                 (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
 
 
+def _check_finite(name: str, value) -> None:
+    """Raise ValueError naming `name` unless every entry of value is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class ObjectSpec:
     """A colored axis-aligned box resting in the scene."""
@@ -80,6 +86,8 @@ class CameraIntrinsics:
     pitch_rad: float = 0.6   # downward pitch of the optical axis
 
     def validate(self):
+        for name in ("focal_px", "baseline_m", "height_m", "pitch_rad"):
+            _check_finite(f"camera.{name}", getattr(self, name))
         if self.width <= 0 or self.height <= 0:
             raise ValueError("camera resolution must be positive")
         if self.focal_px <= 0 or self.baseline_m <= 0:
@@ -97,9 +105,11 @@ class BaseCommand:
     OMEGA_MAX = 1.0
 
     def clamped(self) -> "BaseCommand":
+        # min/max with the value first give np.clip's bits, NaN included, at a
+        # fraction of its cost on Python floats
         return BaseCommand(
-            float(np.clip(self.v, -self.V_MAX, self.V_MAX)),
-            float(np.clip(self.omega, -self.OMEGA_MAX, self.OMEGA_MAX)),
+            float(min(max(self.v, -self.V_MAX), self.V_MAX)),
+            float(min(max(self.omega, -self.OMEGA_MAX), self.OMEGA_MAX)),
         )
 
 
@@ -134,6 +144,15 @@ class WorldConfig:
         self.robot_joints = np.asarray(self.robot_joints, dtype=float)
 
     def validate(self):
+        for name in ("dt", "depth_noise_sigma", "table_center", "table_size", "robot_start",
+                     "robot_joints"):
+            _check_finite(name, getattr(self, name))
+        for obj in self.objects:
+            for name in ("center", "half_extents", "color"):
+                _check_finite(f"object {obj.id!r} {name}", getattr(obj, name))
+        for i, box in enumerate(self.obstacle_boxes):
+            for name in ("center", "half_extents"):
+                _check_finite(f"obstacle {i} {name}", getattr(box, name))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if not np.all(self.table_size > 0):

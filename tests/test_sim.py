@@ -1,6 +1,7 @@
 """World dynamics, predicates, and renderer invariants."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_step_rejects_non_finite_command(v, omega, joint):
         world.step(BaseCommand(v, omega), target)
     assert np.array_equal(world.state.base, before.base)
     assert np.array_equal(world.state.joints, before.joints)
+
+
+CLAMP_INPUTS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -0.5, 1.0, -1.0,
+                np.nextafter(0.5, 1.0), np.nextafter(-0.5, -1.0), np.nextafter(1.0, 0.0),
+                5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                np.float64(0.7), np.float64(-0.0), np.float64(np.nan),
+                np.float32(0.3), np.float32(0.7), np.float32(-0.0), np.float32(np.nan),
+                np.float32(-np.inf), np.float32(0.5), np.float32(1e-45)]
+
+
+@pytest.mark.parametrize("value", CLAMP_INPUTS, ids=repr)
+def test_base_command_clamped_has_np_clip_bits(value):
+    cmd = BaseCommand(value, value).clamped()
+    for got, limit in ((cmd.v, BaseCommand.V_MAX), (cmd.omega, BaseCommand.OMEGA_MAX)):
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(np.clip(value, -limit, limit)).tobytes()
 
 
 def test_energy_free_kinematics():
@@ -268,6 +285,35 @@ def test_config_validation_rejects_close_colors():
             ],
             target_id="a",
         ).validate()
+
+
+# field as the error names it -> a setter of one of its floats, on a long scene
+NON_FINITE_FIELDS = {
+    "camera.focal_px": lambda c, x: setattr(c.camera, "focal_px", x),
+    "camera.baseline_m": lambda c, x: setattr(c.camera, "baseline_m", x),
+    "camera.height_m": lambda c, x: setattr(c.camera, "height_m", x),
+    "camera.pitch_rad": lambda c, x: setattr(c.camera, "pitch_rad", x),
+    "dt": lambda c, x: setattr(c, "dt", x),
+    "depth_noise_sigma": lambda c, x: setattr(c, "depth_noise_sigma", x),
+    "robot_start": lambda c, x: c.robot_start.__setitem__(0, x),
+    "robot_joints": lambda c, x: c.robot_joints.__setitem__(4, x),
+    "table_center": lambda c, x: c.table_center.__setitem__(2, x),
+    "table_size": lambda c, x: c.table_size.__setitem__(1, x),
+    "object 'box1' center": lambda c, x: c.objects[1].center.__setitem__(0, x),
+    "object 'box1' half_extents": lambda c, x: c.objects[1].half_extents.__setitem__(2, x),
+    "object 'box1' color": lambda c, x: c.objects[1].color.__setitem__(1, x),
+    "obstacle 1 center": lambda c, x: c.obstacle_boxes[1].center.__setitem__(1, x),
+    "obstacle 1 half_extents": lambda c, x: c.obstacle_boxes[1].half_extents.__setitem__(0, x),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("name", sorted(NON_FINITE_FIELDS))
+def test_world_rejects_a_non_finite_config_float_naming_it(name, value):
+    cfg = make_scene(0, "long")
+    NON_FINITE_FIELDS[name](cfg, value)
+    with pytest.raises(ValueError, match="^" + re.escape(name) + " must be finite"):
+        World(cfg)
 
 
 # ----------------------------------------------------------------------
