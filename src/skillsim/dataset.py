@@ -151,11 +151,17 @@ def load_episode(dirpath) -> Episode:
         variant = read("variant", one_of("short", "long"))
         n = read("steps", _count)
         dims = reader(read("dims"), ("state", "cmd", "height", "width"), "dims.")
+        dims("state", one_of(JOINTS))
         dims("cmd", one_of(state_dim(variant) - JOINTS))
         dtype = steps_dtype(dims("height", _count), dims("width", _count), variant)
-        seed, outcome = read("seed", _count), read("outcome", one_of("DONE", "FAILED"))
+        outcome = read("outcome", one_of("DONE", "FAILED"))
         scene = read("scene", config_from_dict)
         scene.validate()
+        # dt and seed repeat the scene's; a float equal to the (positive) dt has its bits
+        read("dt", one_of(scene.dt))
+        seed = read("seed", _count)
+        if seed != scene.rng_seed:
+            raise ValueError(f"seed {seed} is not the scene's rng_seed {scene.rng_seed}")
     except ValueError as exc:
         raise DatasetError(f"{mpath}: {exc}") from None
 

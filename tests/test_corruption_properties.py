@@ -1,6 +1,9 @@
 """Property: every truncation and every single-byte flip of a stored file
 either loads or raises that format's own error, naming the path."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -105,3 +108,28 @@ def test_every_corruption_of_a_small_model_loads_or_raises_model_error(tmp_path)
     for offset in range(len(blob)):
         for bad in [blob[:offset]] + [flip(blob, offset, mask) for mask in MASKS]:
             loads_or_raises_its_error(path, bad, load_model, ModelError, path)
+
+
+# manifest keys that repeat a fact: an edit that contradicts it, and the key the error names
+REPEATED_FACTS = {
+    "dims.state is the variant's whole width": (lambda m: m["dims"].update(state=7), "dims.state"),
+    "dims.state is 9": (lambda m: m["dims"].update(state=9), "dims.state"),
+    "dt is 123": (lambda m: m.update(dt=123.0), "dt"),
+    "dt is one ulp above the scene's": (lambda m: m.update(dt=float(np.nextafter(m["dt"], 1.0))),
+                                        "dt"),
+    "dt is an integer": (lambda m: m.update(dt=1, scene={**m["scene"], "dt": 1.0}), "dt"),
+    "seed is not the scene's": (lambda m: m.update(seed=m["seed"] + 1), "seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_FACTS))
+def test_manifest_key_contradicting_its_fact_raises_dataset_error(tmp_path, case):
+    edit, key = REPEATED_FACTS[case]
+    mpath = tmp_path / "manifest.json"
+    write_episode(mpath)
+    load_episode(tmp_path)
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(mpath))}: .*{re.escape(key)}"):
+        load_episode(tmp_path)
