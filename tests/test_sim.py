@@ -524,20 +524,20 @@ def corner_depths(world, center, half):
 
 
 # (case, pitch, (px, py, depth) of box0's center, half extent, where its
-# corners lie, the image edge its pixels must reach or "none" for no pixel)
+# corners lie, the image edge its pixels must reach or "off" for no pixel)
 VIEW_CASES = [
-    ("behind the camera", 0.6, (32, 32, -0.5), 0.05, "behind", "none"),
+    ("behind the camera", 0.6, (32, 32, -0.5), 0.05, "behind", "off"),
     ("across the image plane", 0.6, (100, 32, 0.2), 0.15, "across", None),
     ("around the camera", 0.6, (32, 32, 0.0), 0.2, "across", None),
     ("clipped at the left edge", 0.6, (0.3, 32, 1.0), 0.03, "front", "left"),
     ("clipped at the right edge", 0.6, (63.7, 32, 1.0), 0.03, "front", "right"),
     ("clipped at the top edge", 0.6, (32, 0.3, 1.0), 0.03, "front", "top"),
     ("clipped at the bottom edge", 0.6, (32, 63.7, 1.0), 0.03, "front", "bottom"),
-    ("wholly left of the image", 0.6, (-6, 32, 1.0), 0.03, "front", "none"),
-    ("wholly below the image", 0.6, (32, 75, 1.0), 0.03, "front", "none"),
+    ("wholly left of the image", 0.6, (-6, 32, 1.0), 0.03, "front", "off"),
+    ("wholly below the image", 0.6, (32, 75, 1.0), 0.03, "front", "off"),
     ("ahead at pitch 0", 0.0, (32, 32, 1.0), 0.03, "front", None),
     ("ahead at pitch pi/2", np.pi / 2, (32, 32, 0.8), 0.03, "front", None),
-    ("off-image at pitch pi/2", np.pi / 2, (-9, 20, 0.8), 0.03, "front", "none"),
+    ("off-image at pitch pi/2", np.pi / 2, (-9, 20, 0.8), 0.03, "front", "off"),
 ]
 EDGES = {"left": (slice(None), 0), "right": (slice(None), -1),
          "top": (0, slice(None)), "bottom": (-1, slice(None))}
@@ -559,7 +559,7 @@ def test_render_bit_equal_to_reference_for_a_box_placed_in_view(case, pitch, pix
     frame = run.render()
     run.render(0.0)
     box_pixels = frame.hit_ids == run.world.hit_id("box0")
-    if edge == "none":
+    if edge == "off":
         assert not box_pixels.any()
     elif edge is not None:
         assert box_pixels[EDGES[edge]].any() and not box_pixels.all()
