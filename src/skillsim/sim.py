@@ -142,6 +142,7 @@ class WorldConfig:
         self.table_size = np.asarray(self.table_size, dtype=float)
         self.robot_start = np.asarray(self.robot_start, dtype=float)
         self.robot_joints = np.asarray(self.robot_joints, dtype=float)
+        self.dt = float(self.dt)
 
     def validate(self):
         for name in ("dt", "depth_noise_sigma", "table_center", "table_size", "robot_start",
@@ -239,26 +240,24 @@ def in_base_slab(lo: np.ndarray, hi: np.ndarray) -> bool:
     return not (hi[2] <= 0.0 or lo[2] >= BASE_HEIGHT)
 
 
-def _ray_aabb(origin: np.ndarray, inv: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-              finite: bool) -> np.ndarray:
+def _ray_aabb(origin: np.ndarray, inv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Entry distance of each ray into an AABB, +inf where the ray misses.
 
     `inv` is 1.0 / dirs for rays of any leading shape, and distances are in
     units of those (unnormalized) directions. The slab bounds are reduced
     column by column with np.maximum/np.minimum; that is bit-equal to
     `.max(axis=-1)`/`.min(axis=-1)`, signed zeros included, and avoids
-    numpy's per-row loop over a length-3 axis. `finite` says that every
-    product (lo - origin) * inv and (hi - origin) * inv is known finite; the
-    NaN clamps are then the identity and are skipped. The caller silences
+    numpy's per-row loop over a length-3 axis. With finite inputs a slab
+    product is NaN only as 0 * inf, where a ray parallel to an axis starts on
+    the plane of a face; fmin/fmax then return the other face's product, so a
+    NaN bound would need lo == hi == origin on that axis, a box of no width.
+    No NaN reaches the bounds, and no clamp is needed. The caller silences
     numpy's warnings for 0 * inf.
     """
     ta = (lo - origin) * inv
     tb = (hi - origin) * inv
     tlo = np.fmin(ta, tb)
     thi = np.fmax(ta, tb)
-    if not finite:
-        tlo = np.nan_to_num(tlo, nan=-np.inf)
-        thi = np.nan_to_num(thi, nan=np.inf)
     tmin = np.maximum(np.maximum(tlo[..., 0], tlo[..., 1]), tlo[..., 2])
     tmax = np.minimum(np.minimum(thi[..., 0], thi[..., 1]), thi[..., 2])
     hit = (tmax >= tmin) & (tmax > 0.0)
@@ -420,20 +419,15 @@ class World:
         cam = self.config.camera
         h, w = cam.height, cam.width
         dirs = self._pixel_dirs @ rot.T
-        lohi = np.array([(lo, hi) for lo, hi, _, _ in boxes])
-        windows = self._windows(origin, rot, lohi)
+        windows = self._windows(origin, rot, np.array([(lo, hi) for lo, hi, _, _ in boxes]))
         t_best = np.full((h, w), np.inf)
         idx = np.zeros((h, w), dtype=np.intp)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / dirs
-            # With |inv| and |corner - origin| finite and their largest product
-            # finite, no slab product is NaN or inf, so no clamp is needed.
-            finite = np.isfinite(np.abs(lohi - origin).max(axis=(1, 2)) * np.abs(inv).max())
-            inv = inv.reshape(h, w, 3)
+            inv = (1.0 / dirs).reshape(h, w, 3)
             for j, ((lo, hi, _, _), (r0, r1, c0, c1)) in enumerate(zip(boxes, windows)):
                 if r0 >= r1 or c0 >= c1:
                     continue
-                t = _ray_aabb(origin, inv[r0:r1, c0:c1], lo, hi, finite[j])
+                t = _ray_aabb(origin, inv[r0:r1, c0:c1], lo, hi)
                 best = t_best[r0:r1, c0:c1]
                 closer = t < best
                 np.copyto(best, t, where=closer)
@@ -485,6 +479,7 @@ class World:
         The noiseless cast is reused from the previous frame when the bit
         patterns of the camera pose and of every rendered box (corners,
         color, hit id) are those it was cast from; -0.0 and 0.0 differ.
+        A pose or box that is not finite raises ValueError instead of a cast.
         The frame's arrays are its own, and the cloud is built on first access.
         """
         cam = self.config.camera
@@ -494,6 +489,8 @@ class World:
         values = np.concatenate([origin, rot.ravel()] + [a for box in boxes for a in box[:3]])
         key = (values.tobytes(), tuple(hid for *_, hid in boxes))
         if self._last_cast is None or self._last_cast[0] != key:
+            if not np.isfinite(values).all():
+                raise ValueError("camera pose and box corners must be finite to render")
             self._last_cast = (key, self._cast(origin, rot, boxes))
         dirs, depth, rgb_f, rgb, hit_ids = self._last_cast[1]
 

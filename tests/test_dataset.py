@@ -1,6 +1,7 @@
 """Episode recording, bit-exact persistence, and normalization statistics."""
 
 import copy
+import dataclasses
 import json
 import struct
 
@@ -127,6 +128,18 @@ def test_save_load_round_trip_bit_exact(tmp_path, short_episode):
     save_episode(back, tmp_path / "ep2")
     assert (tmp_path / "ep" / "steps.bin").read_bytes() == \
         (tmp_path / "ep2" / "steps.bin").read_bytes()
+    assert (tmp_path / "ep" / "manifest.json").read_text() == \
+        (tmp_path / "ep2" / "manifest.json").read_text()
+
+
+def test_save_load_round_trip_of_a_scene_built_with_an_integer_dt(tmp_path):
+    ep = synthetic_episode(np.random.default_rng(3))
+    ep.scene = dataclasses.replace(ep.scene, dt=1)
+    save_episode(ep, tmp_path / "ep")
+    back = load_episode(tmp_path / "ep")
+    assert episodes_equal(ep, back)
+    assert type(back.scene.dt) is float and back.scene.dt == 1.0
+    save_episode(back, tmp_path / "ep2")
     assert (tmp_path / "ep" / "manifest.json").read_text() == \
         (tmp_path / "ep2" / "manifest.json").read_text()
 
