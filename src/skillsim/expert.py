@@ -20,7 +20,7 @@ from . import kinematics
 from .kinematics import IkError
 from .nav import OccupancyGrid, PlanningError, astar, follow_path
 from .perception import PerceptionError, PerceptionParams, locate_object
-from .sim import ROBOT_RADIUS, BaseCommand, World, WorldConfig, wrap_angle
+from .sim import ROBOT_RADIUS, BaseCommand, World, WorldConfig, check_finite_floats, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +58,12 @@ class ExpertParams:
     lift_height_m: float = 0.15
     locate_noise_sigma: float = 0.005
     yaw_jitter_rad: float = 0.2
-    max_ticks: int = 3000
+    max_ticks: int = 3000   # a run that needs more ticks ends FAILED with this many
     perception: PerceptionParams = field(default_factory=PerceptionParams)
+
+    def validate(self):
+        check_finite_floats(self)
+        self.perception.validate()
 
 
 @dataclass
@@ -139,6 +143,8 @@ class _Run:
         raise self._Abort()
 
     def drive(self, cmd: BaseCommand, joint_target: np.ndarray):
+        if self.tick >= self.params.max_ticks:
+            self.fail("tick budget exceeded")
         state = self.world.state
         self.transcript.ticks.append(TickRecord(
             phase=self.phase.value,
@@ -150,8 +156,6 @@ class _Run:
         ))
         self.world.step(cmd, joint_target)
         self.tick += 1
-        if self.tick > self.params.max_ticks:
-            self.fail("tick budget exceeded")
 
     # ------------------------------------------------------------------
 
@@ -294,11 +298,15 @@ def run_expert(
     standoff pose first; "short" starts within reach and localizes from
     ground truth corrupted by Gaussian noise. Failures of any sub-step end
     the run with outcome FAILED and the cause recorded; nothing propagates.
+    Before the first tick, an unknown variant or invalid `params` (a NaN or
+    infinite float, say) raise ValueError and an unknown target KeyError.
     """
     if variant not in ("short", "long"):
         raise ValueError(f"unknown variant {variant!r}")
+    params = params or ExpertParams()
+    params.validate()
     world.config.object(target_id)  # raises KeyError for unknown targets
-    return _Run(world, target_id, variant, params or ExpertParams()).run()
+    return _Run(world, target_id, variant, params).run()
 
 
 def transcript_to_text(transcript: ExpertTranscript) -> str:

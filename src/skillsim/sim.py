@@ -9,7 +9,7 @@ against axis-aligned boxes. Everything is kinematic and seed-deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +49,14 @@ def _check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def check_finite_floats(params, prefix: str = "") -> None:
+    """`_check_finite` on each field of the dataclass `params` whose default is a
+    float, named `prefix` + the field's name."""
+    for f in fields(params):
+        if isinstance(f.default, float):
+            _check_finite(prefix + f.name, getattr(params, f.name))
+
+
 @dataclass
 class ObjectSpec:
     """A colored axis-aligned box resting in the scene."""
@@ -86,8 +94,7 @@ class CameraIntrinsics:
     pitch_rad: float = 0.6   # downward pitch of the optical axis
 
     def validate(self):
-        for name in ("focal_px", "baseline_m", "height_m", "pitch_rad"):
-            _check_finite(f"camera.{name}", getattr(self, name))
+        check_finite_floats(self, "camera.")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("camera resolution must be positive")
         if self.focal_px <= 0 or self.baseline_m <= 0:
@@ -278,7 +285,11 @@ class World:
         self._attach_offset = None
         self._rng = np.random.default_rng(config.rng_seed)
         self._pixel_dirs = self._make_pixel_dirs(config.camera)
-        self._last_cast = None  # (key, _cast(...)) of the last frame rendered
+        # the hit cache of `_cast`: (pose bytes, dirs, 1 / dirs) of the last cast,
+        # one (corner bytes, window, t or None) per box, and (tables, frame arrays)
+        self._view = None
+        self._hits = []
+        self._frame = None
 
     # ------------------------------------------------------------------
     # kinematics helpers
@@ -406,42 +417,67 @@ class World:
                 return HIT_OBJECT_BASE + i
         raise KeyError(object_id)
 
-    def _cast(self, origin: np.ndarray, rot: np.ndarray, boxes: list) -> tuple:
+    def _cast(self, origin: np.ndarray, rot: np.ndarray, lohi: np.ndarray,
+              colors: np.ndarray, hids: np.ndarray) -> tuple:
         """The noiseless part of a frame: (dirs, depth, rgb_f, rgb, hit_ids), flat.
 
-        Each box is cast only over its pixel window (see `_windows`); pixels
-        outside it keep t = inf, which no box replaces. Each pixel keeps the
-        index of the nearest box it hits, and its color and hit id are
-        gathered from a [sky] + boxes table at the end; that copies the
-        values the boxes hold, bit for bit. The arrays are read-only, since
-        render() hands them to every frame of the same view.
+        `lohi` (B, 2, 3) holds the boxes' corners; `colors` and `hids` are the
+        [sky] + boxes color and hit-id tables. Each box is cast only over its
+        pixel window (see `_windows`). Its window and the entry distance t of
+        each ray in it are kept, keyed on the bytes of the camera pose and of
+        the box's corners (-0.0 and 0.0 differ). They depend on nothing else,
+        so at the pose of the last cast only a stale box is cast again: one
+        whose corners changed, or one past the boxes that cast had. A new
+        pose casts every box. The kept t are then composited in box order
+        with a strict `t < best`, which picks the nearest box, ties going to
+        the first, exactly as one cast of every box would; pixels outside
+        every window keep t = inf. Each pixel's color and hit id are gathered
+        from the tables, which copies their values bit for bit, so a recolor
+        casts nothing. With no stale box and equal tables the last frame's
+        arrays are returned. They are read-only, since render() hands them
+        to every frame of the same view.
         """
         cam = self.config.camera
         h, w = cam.height, cam.width
-        dirs = self._pixel_dirs @ rot.T
-        windows = self._windows(origin, rot, np.array([(lo, hi) for lo, hi, _, _ in boxes]))
+        pose = np.concatenate([origin, rot.ravel()]).tobytes()
+        if self._view is None or self._view[0] != pose:
+            dirs = self._pixel_dirs @ rot.T
+            with np.errstate(divide="ignore"):
+                self._view = (pose, dirs, (1.0 / dirs).reshape(h, w, 3))
+            self._hits = []
+        _, dirs, inv = self._view
+        keys = [box.tobytes() for box in lohi]
+        hits = self._hits[:len(keys)] + [None] * (len(keys) - len(self._hits))
+        stale = [j for j, key in enumerate(keys) if hits[j] is None or hits[j][0] != key]
+        tables = colors.tobytes() + hids.tobytes()
+        if not stale and self._frame[0] == tables:
+            return self._frame[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j, window in zip(stale, self._windows(origin, rot, lohi[stale])):
+                r0, r1, c0, c1 = window
+                t = (_ray_aabb(origin, inv[r0:r1, c0:c1], lohi[j, 0], lohi[j, 1])
+                     if r0 < r1 and c0 < c1 else None)
+                hits[j] = (keys[j], window, t)
+        self._hits = hits
         t_best = np.full((h, w), np.inf)
         idx = np.zeros((h, w), dtype=np.intp)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = (1.0 / dirs).reshape(h, w, 3)
-            for j, ((lo, hi, _, _), (r0, r1, c0, c1)) in enumerate(zip(boxes, windows)):
-                if r0 >= r1 or c0 >= c1:
-                    continue
-                t = _ray_aabb(origin, inv[r0:r1, c0:c1], lo, hi)
-                best = t_best[r0:r1, c0:c1]
-                closer = t < best
-                np.copyto(best, t, where=closer)
-                idx[r0:r1, c0:c1][closer] = j + 1
+        for j, (_, (r0, r1, c0, c1), t) in enumerate(hits):
+            if t is None:
+                continue
+            best = t_best[r0:r1, c0:c1]
+            closer = t < best
+            np.copyto(best, t, where=closer)
+            idx[r0:r1, c0:c1][closer] = j + 1
         idx, t_best = idx.ravel(), t_best.ravel()
         # take() copies the same table rows as fancy indexing, in a third of the time
-        colors = np.array([SKY_COLOR] + [color for _, _, color, _ in boxes], dtype=float)
         rgb_f = colors.take(idx, axis=0)
         rgb = np.rint(colors * 255.0).astype(np.uint8).take(idx, axis=0)
-        hit_ids = np.array([HIT_NONE] + [hid for *_, hid in boxes], dtype=np.int32).take(idx)
+        hit_ids = hids.take(idx)
         depth = np.where(np.isfinite(t_best), t_best, 0.0)
         cast = (dirs, depth, rgb_f, rgb, hit_ids)
         for a in cast:
             a.flags.writeable = False
+        self._frame = (tables, cast)
         return cast
 
     def _windows(self, origin: np.ndarray, rot: np.ndarray, lohi: np.ndarray) -> list:
@@ -476,23 +512,22 @@ class World:
         applied before disparity and cloud derivation so the disparity-depth
         identity holds on the values actually reported; the noise is drawn on
         every frame, so the RNG stream does not depend on what was reused.
-        The noiseless cast is reused from the previous frame when the bit
-        patterns of the camera pose and of every rendered box (corners,
-        color, hit id) are those it was cast from; -0.0 and 0.0 differ.
-        A pose or box that is not finite raises ValueError instead of a cast.
+        Only the boxes that moved since the last frame at the same camera
+        pose are cast again (see `_cast`). A pose or box that is not finite
+        raises ValueError instead of a cast.
         The frame's arrays are its own, and the cloud is built on first access.
         """
         cam = self.config.camera
         sigma = self.config.depth_noise_sigma if depth_noise_sigma is None else depth_noise_sigma
         origin, rot = self.camera_pose()
         boxes = self._render_boxes()
-        values = np.concatenate([origin, rot.ravel()] + [a for box in boxes for a in box[:3]])
-        key = (values.tobytes(), tuple(hid for *_, hid in boxes))
-        if self._last_cast is None or self._last_cast[0] != key:
-            if not np.isfinite(values).all():
-                raise ValueError("camera pose and box corners must be finite to render")
-            self._last_cast = (key, self._cast(origin, rot, boxes))
-        dirs, depth, rgb_f, rgb, hit_ids = self._last_cast[1]
+        lohi = np.array([(lo, hi) for lo, hi, _, _ in boxes])
+        colors = np.array([SKY_COLOR] + [color for _, _, color, _ in boxes], dtype=float)
+        hids = np.array([HIT_NONE] + [hid for *_, hid in boxes], dtype=np.int32)
+        values = np.concatenate([origin, rot.ravel(), lohi.ravel(), colors.ravel()])
+        if not np.isfinite(values).all():
+            raise ValueError("camera pose and box corners must be finite to render")
+        dirs, depth, rgb_f, rgb, hit_ids = self._cast(origin, rot, lohi, colors, hids)
 
         if sigma > 0.0:
             noise = self._rng.normal(0.0, sigma, size=dirs.shape[0])

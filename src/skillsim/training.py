@@ -17,6 +17,7 @@ import numpy as np
 from . import nn
 from .dataset import NormStats, dataset_state_dim, normalize_state
 from .models import Autoencoder, Predictor, standardize_disparity, standardize_rgb
+from .sim import check_finite_floats
 
 log = logging.getLogger(__name__)
 
@@ -38,6 +39,7 @@ class TrainConfig:
     frame_stride: int = 1
 
     def validate(self):
+        check_finite_floats(self)
         for name in ("epochs", "ae_epochs", "batch", "lr", "grad_clip", "tbptt",
                      "downscale", "latent", "hidden", "frame_stride"):
             if getattr(self, name) <= 0:

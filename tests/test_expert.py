@@ -5,6 +5,7 @@ import pytest
 
 from skillsim import (
     ArmPlanError,
+    ExpertParams,
     ExpertPhase,
     World,
     plan_arm,
@@ -182,3 +183,23 @@ def test_unknown_variant_rejected():
     cfg = make_short_scene(0)
     with pytest.raises(ValueError, match="unknown variant"):
         run_expert(World(cfg), cfg.target_id, "medium")
+
+
+@pytest.mark.parametrize("max_ticks", [0, 5])
+def test_tick_budget_records_at_most_max_ticks(max_ticks):
+    cfg = make_short_scene(0)
+    transcript = run_expert(World(cfg), cfg.target_id, "short", ExpertParams(max_ticks=max_ticks))
+    assert transcript.outcome == "FAILED"
+    assert transcript.failure == "tick budget exceeded"
+    assert len(transcript.ticks) == max_ticks
+
+
+def test_tick_budget_boundary():
+    """A run that needs n ticks completes under a budget of n and fails with
+    n - 1 ticks recorded under a budget of n - 1."""
+    cfg = make_short_scene(0)
+    n = len(run_expert(World(cfg), cfg.target_id, "short").ticks)
+    done = run_expert(World(cfg), cfg.target_id, "short", ExpertParams(max_ticks=n))
+    assert done.outcome == "DONE" and len(done.ticks) == n
+    cut = run_expert(World(cfg), cfg.target_id, "short", ExpertParams(max_ticks=n - 1))
+    assert cut.failure == "tick budget exceeded" and len(cut.ticks) == n - 1

@@ -602,3 +602,57 @@ def test_frames_do_not_share_writable_arrays():
     assert a.cloud is a.cloud
     assert not np.shares_memory(a.cloud.positions, b.cloud.positions)
     assert not np.shares_memory(a.cloud.colors, b.cloud.colors)
+
+
+def test_render_casts_only_the_boxes_that_moved(monkeypatch):
+    """At a held pose a carry frame casts the carried box alone and an unchanged
+    frame casts nothing; a new pose casts each box whose window has a pixel."""
+    calls = []
+    cast = sim._ray_aabb
+
+    def spy(origin, inv, lo, hi):
+        calls.append((lo.copy(), hi.copy()))
+        return cast(origin, inv, lo, hi)
+
+    monkeypatch.setattr(sim, "_ray_aabb", spy)
+    cfg = tip_config()
+    cfg.objects.append(ObjectSpec("box1", [1.1, 0.25, 0.43], np.full(3, 0.04),
+                                  np.array([0.1, 0.8, 0.1])))
+    cfg.obstacle_boxes += [sim.Box([1.0, -0.6, 0.3], [0.1, 0.1, 0.3]),
+                           sim.Box([1.0, 3.0, 0.3], [0.1, 0.1, 0.3])]  # off to the left
+    cfg.robot_joints = cfg.robot_joints.copy()
+    cfg.robot_joints[4] = 0.1
+    run = Lockstep(cfg)
+
+    def cast_boxes():
+        origin, rot = run.world.camera_pose()
+        lohi = np.array([(lo, hi) for lo, hi, _, _ in run.world._render_boxes()])
+        return [box for box, (r0, r1, c0, c1) in zip(lohi, run.world._windows(origin, rot, lohi))
+                if r0 < r1 and c0 < c1]
+
+    expected = cast_boxes()
+    assert len(expected) == 5       # the obstacle off to the left has an empty window
+    run.render()
+    assert len(calls) == 5
+    run.step(BaseCommand(), cfg.robot_joints)   # attaches, holds still
+    assert run.world.state.attached_object == "box0"
+    target = cfg.robot_joints.copy()
+    target[0] = 0.2                             # raise the torso: the box moves
+    for _ in range(4):
+        calls.clear()
+        run.step(BaseCommand(), target)
+        run.render()
+        center, half = run.world.object_centers["box0"], cfg.objects[0].half_extents
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], center - half)
+        assert np.array_equal(calls[0][1], center + half)
+        calls.clear()
+        run.render()
+        assert calls == []
+    run.set_base((0.1, 0.05, 0.1))
+    calls.clear()
+    run.render()
+    expected = cast_boxes()
+    assert len(calls) == len(expected) == 5
+    for (lo, hi), box in zip(calls, expected):
+        assert np.array_equal(lo, box[0]) and np.array_equal(hi, box[1])
