@@ -285,8 +285,8 @@ class World:
         self._attach_offset = None
         self._rng = np.random.default_rng(config.rng_seed)
         self._pixel_dirs = self._make_pixel_dirs(config.camera)
-        # the hit cache of `_cast`: (pose bytes, dirs, 1 / dirs) of the last cast,
-        # one (corner bytes, window, t or None) per box, and (tables, frame arrays)
+        # the hit cache of `_cast`: (pose bytes, dirs) of the last cast, one
+        # (corner bytes, window, t or None) per box, and (tables, frame arrays)
         self._view = None
         self._hits = []
         self._frame = None
@@ -439,13 +439,12 @@ class World:
         """
         cam = self.config.camera
         h, w = cam.height, cam.width
-        pose = np.concatenate([origin, rot.ravel()]).tobytes()
+        pose = origin.tobytes() + rot.tobytes()
         if self._view is None or self._view[0] != pose:
             dirs = self._pixel_dirs @ rot.T
-            with np.errstate(divide="ignore"):
-                self._view = (pose, dirs, (1.0 / dirs).reshape(h, w, 3))
+            self._view = (pose, dirs)
             self._hits = []
-        _, dirs, inv = self._view
+        _, dirs = self._view
         keys = [box.tobytes() for box in lohi]
         hits = self._hits[:len(keys)] + [None] * (len(keys) - len(self._hits))
         stale = [j for j, key in enumerate(keys) if hits[j] is None or hits[j][0] != key]
@@ -453,6 +452,7 @@ class World:
         if not stale and self._frame[0] == tables:
             return self._frame[1]
         with np.errstate(divide="ignore", invalid="ignore"):
+            inv = (1.0 / dirs).reshape(h, w, 3)
             for j, window in zip(stale, self._windows(origin, rot, lohi[stale])):
                 r0, r1, c0, c1 = window
                 t = (_ray_aabb(origin, inv[r0:r1, c0:c1], lohi[j, 0], lohi[j, 1])
