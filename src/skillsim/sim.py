@@ -418,11 +418,12 @@ class World:
         raise KeyError(object_id)
 
     def _cast(self, origin: np.ndarray, rot: np.ndarray, lohi: np.ndarray,
-              colors: np.ndarray, hids: np.ndarray) -> tuple:
+              colors: np.ndarray, hids: tuple) -> tuple:
         """The noiseless part of a frame: (dirs, depth, rgb_f, rgb, hit_ids), flat.
 
-        `lohi` (B, 2, 3) holds the boxes' corners; `colors` and `hids` are the
-        [sky] + boxes color and hit-id tables. Each box is cast only over its
+        `lohi` (B, 2, 3) holds the boxes' corners, `colors` (B, 3) and `hids`
+        their colors and hit ids, from which a [sky] + boxes table gives each
+        pixel its color and hit id. Each box is cast only over its
         pixel window (see `_windows`). Its window and the entry distance t of
         each ray in it are kept, keyed on the bytes of the camera pose and of
         the box's corners (-0.0 and 0.0 differ). They depend on nothing else,
@@ -435,22 +436,28 @@ class World:
         from the tables, which copies their values bit for bit, so a recolor
         casts nothing. With no stale box and equal tables the last frame's
         arrays are returned. They are read-only, since render() hands them
-        to every frame of the same view.
+        to every frame of the same view. Before anything is cast, the pose,
+        corners and colors are checked to be finite. Only finite values are
+        kept, so one that is not finite never matches them: it always raises
+        ValueError.
         """
         cam = self.config.camera
         h, w = cam.height, cam.width
         pose = origin.tobytes() + rot.tobytes()
-        if self._view is None or self._view[0] != pose:
-            dirs = self._pixel_dirs @ rot.T
-            self._view = (pose, dirs)
-            self._hits = []
-        _, dirs = self._view
+        same_pose = self._view is not None and self._view[0] == pose
+        kept = self._hits if same_pose else []
         keys = [box.tobytes() for box in lohi]
-        hits = self._hits[:len(keys)] + [None] * (len(keys) - len(self._hits))
+        hits = kept[:len(keys)] + [None] * (len(keys) - len(kept))
         stale = [j for j, key in enumerate(keys) if hits[j] is None or hits[j][0] != key]
-        tables = colors.tobytes() + hids.tobytes()
+        tables = (colors.tobytes(), hids)
         if not stale and self._frame[0] == tables:
             return self._frame[1]
+        if not np.isfinite(np.concatenate([origin, rot.ravel(), lohi.ravel(),
+                                           colors.ravel()])).all():
+            raise ValueError("camera pose and box corners must be finite to render")
+        if not same_pose:
+            self._view = (pose, self._pixel_dirs @ rot.T)
+        dirs = self._view[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = (1.0 / dirs).reshape(h, w, 3)
             for j, window in zip(stale, self._windows(origin, rot, lohi[stale])):
@@ -470,9 +477,10 @@ class World:
             idx[r0:r1, c0:c1][closer] = j + 1
         idx, t_best = idx.ravel(), t_best.ravel()
         # take() copies the same table rows as fancy indexing, in a third of the time
-        rgb_f = colors.take(idx, axis=0)
-        rgb = np.rint(colors * 255.0).astype(np.uint8).take(idx, axis=0)
-        hit_ids = hids.take(idx)
+        table = np.concatenate([[SKY_COLOR], colors])
+        rgb_f = table.take(idx, axis=0)
+        rgb = np.rint(table * 255.0).astype(np.uint8).take(idx, axis=0)
+        hit_ids = np.array((HIT_NONE,) + hids, dtype=np.int32).take(idx)
         depth = np.where(np.isfinite(t_best), t_best, 0.0)
         cast = (dirs, depth, rgb_f, rgb, hit_ids)
         for a in cast:
@@ -522,11 +530,8 @@ class World:
         origin, rot = self.camera_pose()
         boxes = self._render_boxes()
         lohi = np.array([(lo, hi) for lo, hi, _, _ in boxes])
-        colors = np.array([SKY_COLOR] + [color for _, _, color, _ in boxes], dtype=float)
-        hids = np.array([HIT_NONE] + [hid for *_, hid in boxes], dtype=np.int32)
-        values = np.concatenate([origin, rot.ravel(), lohi.ravel(), colors.ravel()])
-        if not np.isfinite(values).all():
-            raise ValueError("camera pose and box corners must be finite to render")
+        colors = np.array([color for _, _, color, _ in boxes], dtype=float)
+        hids = tuple(hid for *_, hid in boxes)
         dirs, depth, rgb_f, rgb, hit_ids = self._cast(origin, rot, lohi, colors, hids)
 
         if sigma > 0.0:
