@@ -19,7 +19,7 @@ import numpy as np
 from . import kinematics
 from .kinematics import IkError
 from .nav import OccupancyGrid, PlanningError, astar, follow_path
-from .perception import PerceptionError, PerceptionParams, locate_object
+from .perception import PerceptionError, PerceptionParams, check_integer, locate_object
 from .sim import ROBOT_RADIUS, BaseCommand, World, WorldConfig, check_finite_floats, wrap_angle
 
 log = logging.getLogger(__name__)
@@ -63,6 +63,7 @@ class ExpertParams:
 
     def validate(self):
         check_finite_floats(self)
+        check_integer(self.max_ticks, "max_ticks", 0)
         self.perception.validate()
 
 

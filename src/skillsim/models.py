@@ -65,8 +65,14 @@ class Autoencoder:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.decoder.forward(self.encoder.forward(x))
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return self.encoder.backward(self.decoder.backward(dout))
+    def backward(self, dout: np.ndarray) -> None:
+        """Add every parameter's gradient. No caller reads the gradient of the
+        input frames, so the first conv does not form it."""
+        d = self.decoder.backward(dout)
+        first, *rest = self.encoder.layers
+        for layer in reversed(rest):
+            d = layer.backward(d)
+        first.backward(d, input_grad=False)
 
     def named_params(self):
         return self.encoder.named_params("enc") + self.decoder.named_params("dec")

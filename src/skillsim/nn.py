@@ -8,7 +8,7 @@ dtype; float64 is used for finite-difference gradient verification.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class TrainingDiverged(RuntimeError):
@@ -99,19 +99,19 @@ class Upsample2x:
     backward adds the four phases of each 2x2 block into a zeroed buffer in
     the order (0,0), (0,1), (1,0), (1,1). That is the order and the +0 start
     of `sum(axis=(2, 4))` over the phase axes, so its bits are the same:
-    four -0 phases give +0.
+    four -0 phases give +0. The phases are strided views and the buffer
+    takes dout's memory order, so a gradient that Conv2d.backward left with
+    n innermost is not copied.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x.repeat(2, axis=1).repeat(2, axis=2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        n, h2, w2, c = dout.shape
-        phases = dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c)
-        dx = np.zeros((n, h2 // 2, w2 // 2, c), dtype=dout.dtype)
+        dx = np.zeros_like(dout[:, ::2, ::2])
         for a in range(2):
             for b in range(2):
-                dx += phases[:, :, a, :, b]
+                dx += dout[:, a::2, b::2]
         return dx
 
     def named_params(self, prefix: str):
@@ -122,16 +122,30 @@ class Conv2d:
     """3x3 convolution over NHWC via im2col, zero padding of 1.
 
     Exactness contract (tests/test_nn.py pins it to frozen copies of the
-    earlier kernels, bit for bit):
-    - forward copies the strided window view of the padded input into the
-      im2col matrix, one row per output pixel and columns in (di, dj,
-      channel) order, and returns `cols @ W + b`.
+    earlier kernels, bit for bit, with ±0 among the values):
+    - forward copies one strided window view of the padded input, in (n, ho,
+      wo, di, dj, channel) order, into the im2col matrix: one row per output
+      pixel, columns in (di, dj, channel) order. It returns `cols @ W + b`.
     - backward adds `cols.T @ dout` to W's gradient and dout's column sums
-      to b's. The input gradient of all nine taps comes from one tap-major
-      product `W @ dout.T`, the transpose of `dout @ W.T`, which gives the
-      same bits on every layer shape of the autoencoders. The taps are added
-      into a zeroed padded buffer in (di, dj) order, so every input pixel
-      sums its taps in that order, starting from +0.
+      to b's, over the rows in forward's (n, ho, wo) order.
+    - For the input gradient, backward puts the output pixels in (ho, wo, n)
+      order. One tap-major product `W @ dout.T` forms all nine taps as
+      (9, c, ho, wo, n). Its elements have the bits of the reference's
+      `dout @ W.T` on every layer shape of the autoencoders; only BLAS fixes
+      them, so `test_conv_bit_equal_to_reference` and the hypothesis property
+      `test_conv_bit_equal_to_reference_property` pin them.
+    - With c_out = 1 that product has K = 1, and the taps are the broadcast
+      product `W * dout.T`. Each is one rounding, as in BLAS, except that a
+      BLAS sum from +0 turns a -0 product into +0. No sum below can tell:
+      it starts at +0, a sum that starts at +0 is never -0, and adding ±0 to
+      it changes no bit.
+    - The taps are added into a zeroed (c, H+2, W+2, n) buffer in (di, dj)
+      order, so every input pixel sums its taps in that order from +0. Each
+      add runs over rows of w·n contiguous floats at stride 1. The input
+      gradient is an (n, h, w, c) view of that buffer, n innermost in memory.
+    - `backward(dout, input_grad=False)` adds the same W and b gradients,
+      forms no input gradient and returns None: for a first layer, whose
+      input gradient nobody reads.
     """
 
     k = 3
@@ -158,26 +172,31 @@ class Conv2d:
         k, s, p = self.k, self.stride, self.pad
         xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
         xp[:, p:p + h, p:p + w] = x
-        # (n, ho, wo, c, k, k) windows, copied to (n, ho, wo, k, k, c) order
-        windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
-        self._cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * c)
+        sn, sh, sw, sc = xp.strides
+        windows = as_strided(xp, (n, ho, wo, k, k, c), (sn, s * sh, s * sw, sh, sw, sc),
+                             writeable=False)
+        self._cols = windows.reshape(n * ho * wo, k * k * c)
         self._x_shape = x.shape
         out = self._cols @ self.W.value + self.b.value
         return out.reshape(n, ho, wo, self.c_out)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         n, h, w, c = self._x_shape
         ho, wo = self._out_hw(h, w)
         k, s, p = self.k, self.stride, self.pad
         d2 = dout.reshape(-1, self.c_out)
         self.W.grad += self._cols.T @ d2
         self.b.grad += d2.sum(axis=0)
-        taps = (self.W.value @ d2.T).reshape(k * k, c, n, ho, wo)
-        dxp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
+        if not input_grad:
+            return None
+        dT = dout.transpose(3, 1, 2, 0).reshape(self.c_out, ho * wo * n)
+        W = self.W.value
+        taps = (W * dT if self.c_out == 1 else W @ dT).reshape(k * k, c, ho, wo, n)
+        dxp = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=dout.dtype)
         for di in range(k):
             for dj in range(k):
-                dxp[:, :, di:di + ho * s:s, dj:dj + wo * s:s] += taps[di * k + dj]
-        return dxp[:, :, p:p + h, p:p + w].transpose(1, 2, 3, 0)
+                dxp[:, di:di + ho * s:s, dj:dj + wo * s:s] += taps[di * k + dj]
+        return dxp[:, p:p + h, p:p + w].transpose(3, 1, 2, 0)
 
     def named_params(self, prefix: str):
         return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]

@@ -64,10 +64,16 @@ def _check_positive(value, name: str):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def check_integer(value, name: str, minimum: int):
+    """Raise ValueError naming `name` unless value is an integer (not a bool)
+    and at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_k_alpha(k, alpha, k_name: str = "k"):
     """Raise ValueError unless k is an integer >= 1 (not a bool) and alpha is finite and >= 0."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"{k_name} must be an integer >= 1, got {k!r}")
+    check_integer(k, k_name, 1)
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
 

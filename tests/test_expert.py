@@ -203,3 +203,17 @@ def test_tick_budget_boundary():
     assert done.outcome == "DONE" and len(done.ticks) == n
     cut = run_expert(World(cfg), cfg.target_id, "short", ExpertParams(max_ticks=n - 1))
     assert cut.failure == "tick budget exceeded" and len(cut.ticks) == n - 1
+
+
+@pytest.mark.parametrize("max_ticks", [float("nan"), 2.5, True, -1])
+def test_max_ticks_must_be_a_non_negative_int(max_ticks):
+    """NaN would turn the budget off and 2.5 would record 3 ticks; a bool is
+    not a count. Each is rejected, naming the field, before any tick."""
+    cfg = make_short_scene(0)
+    params = ExpertParams(max_ticks=max_ticks)
+    with pytest.raises(ValueError, match=r"^max_ticks must be an integer >= 0"):
+        params.validate()
+    world = World(cfg)
+    with pytest.raises(ValueError, match=r"^max_ticks must be an integer >= 0"):
+        run_expert(world, cfg.target_id, "long", params)
+    assert np.array_equal(world.state.base, cfg.robot_start)

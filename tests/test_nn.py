@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from skillsim import nn
+from skillsim.models import Autoencoder
 from skillsim.training import GRADCHECK_KINDS, gradcheck
 
 
@@ -325,6 +326,97 @@ def test_lstm_window_bit_equal_to_reference(batch, dtype):
         assert_bit_equal(dc, dc_ref)
     for p, p_ref in ((cell.Wx, ref.Wx), (cell.Wh, ref.Wh), (cell.b, ref.b)):
         assert_bit_equal(p.grad, p_ref.grad)
+
+
+def test_conv_bit_equal_to_reference_property():
+    """Any batch of 1-9 through any autoencoder conv, either dtype: output,
+    input gradient and accumulated W/b gradients equal the reference's bits.
+    A first layer (input_grad=False) adds the same W/b gradients and forms
+    no input gradient."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 9), shape=st.sampled_from(AUTOENCODER_CONVS),
+           dtype=st.sampled_from(DTYPES), first=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def check(n, shape, dtype, first, seed):
+        c_in, c_out, stride, hw = shape
+        rng = np.random.default_rng(seed)
+        conv = nn.Conv2d(c_in, c_out, rng, stride=stride, dtype=dtype)
+        conv.W.value[...] = hostile(rng, conv.W.value.shape, dtype)
+        conv.b.value[...] = hostile(rng, c_out, dtype)
+        with_random_grads(rng, [conv.W, conv.b])
+        ref = copy.deepcopy(conv)
+        x = hostile(rng, (n, hw, hw, c_in), dtype)
+        out = conv.forward(x)
+        out_ref, cols = conv_forward_reference(ref, x)
+        assert_bit_equal(out, out_ref)
+        dout = hostile(rng, out.shape, dtype)
+        dx_ref = conv_backward_reference(ref, cols, x.shape, dout)
+        if first:
+            assert conv.backward(dout, input_grad=False) is None
+        else:
+            assert_bit_equal(conv.backward(dout), dx_ref)
+        assert_bit_equal(conv.W.grad, ref.W.grad)
+        assert_bit_equal(conv.b.grad, ref.b.grad)
+
+    check()
+
+
+class ReferenceConv:
+    """A Conv2d's parameters, run through the frozen reference kernels."""
+
+    def __init__(self, conv):
+        self.conv = conv
+
+    def forward(self, x):
+        out, self.cols = conv_forward_reference(self.conv, x)
+        self.x_shape = x.shape
+        return out
+
+    def backward(self, dout):
+        return conv_backward_reference(self.conv, self.cols, self.x_shape, dout)
+
+    def named_params(self, prefix):
+        return self.conv.named_params(prefix)
+
+
+class ReferenceUpsample(nn.Upsample2x):
+    def backward(self, dout):
+        return upsample_backward_reference(dout)
+
+
+@pytest.mark.parametrize("channels", (3, 1))
+def test_autoencoder_adam_steps_bit_equal_to_reference_conv(channels):
+    """Three training steps, as train_autoencoder takes them, leave every
+    parameter with the bits of a deep copy whose convs and upsamples run the
+    frozen reference kernels, and whose backward forms the first conv's
+    input gradient too."""
+    rng = np.random.default_rng([14, channels])
+    ae = Autoencoder(channels, 32, 32, rng)
+    ref = copy.deepcopy(ae)
+    for seq in (ref.encoder, ref.decoder):
+        seq.layers = [ReferenceConv(layer) if isinstance(layer, nn.Conv2d)
+                      else ReferenceUpsample() if isinstance(layer, nn.Upsample2x)
+                      else layer for layer in seq.layers]
+    params = [p for _, p in ae.named_params()]
+    params_ref = [p for _, p in ref.named_params()]
+    opt, opt_ref = nn.Adam(params, 1e-3), nn.Adam(params_ref, 1e-3)
+    for _ in range(3):
+        x = rng.normal(size=(16, 32, 32, channels)).astype(np.float32)
+        for model, model_backward, ps, o in (
+                (ae, ae.backward, params, opt),
+                (ref, lambda d: ref.encoder.backward(ref.decoder.backward(d)),
+                 params_ref, opt_ref)):
+            o.zero_grad()
+            _, dout = nn.loss_mse(model.forward(x), x)
+            model_backward(dout.astype(x.dtype))
+            nn.clip_grad_norm(ps, 5.0)
+            o.step()
+        for p, p_ref in zip(params, params_ref):
+            assert_bit_equal(p.grad, p_ref.grad)
+            assert_bit_equal(p.value, p_ref.value)
 
 
 # ----------------------------------------------------------------------
