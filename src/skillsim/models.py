@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -241,12 +241,28 @@ def standardize_disparity(disp: np.ndarray, stats: NormStats, downscale: int) ->
 
 @dataclass
 class PolicyBundle:
-    """Everything needed to run the policy closed loop."""
+    """Everything needed to run the policy closed loop.
+
+    Contract: once the bundle is in use, nothing changes its models or stats
+    in place, neither their parameters nor their arrays. Assigning a new
+    object to a field is allowed.
+
+    `encode_frame` relies on it. It keeps the RGB latent of the last frame it
+    encoded, keyed on that frame's RGB shape, dtype and bytes and on the
+    `enc_rgb` and `stats` objects it used. While all of these are unchanged,
+    it returns the kept latent and skips `standardize_rgb` and the encoder.
+    The encoder is a deterministic function of its input bytes and its
+    weights, so the kept latent has the bits a new pass would give. The
+    disparity latent is computed on every call: depth noise is drawn anew
+    for each frame, so its bytes do not repeat.
+    """
 
     enc_rgb: Autoencoder
     enc_disp: Autoencoder
     predictor: Predictor
     stats: NormStats
+    # (enc_rgb, stats, (shape, dtype, bytes) of the RGB frame, its latent)
+    _rgb_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def d_state(self) -> int:
@@ -261,17 +277,29 @@ class PolicyBundle:
         return variants[self.d_state]
 
     def encode_frame(self, frame) -> np.ndarray:
-        hw, width = self.enc_rgb.hw, frame.rgb.shape[1]
+        """The (z_rgb, z_disp) latent of one square frame, as a new array."""
+        rgb, disparity = frame.rgb, frame.disparity
+        hw, width = self.enc_rgb.hw, rgb.shape[1]
         if self.enc_disp.hw != hw:
             raise ModelError(f"RGB encoder input {hw} differs from disparity "
                              f"encoder input {self.enc_disp.hw}")
+        if rgb.shape[:2] != (width, width) or disparity.shape != (width, width):
+            raise ModelError(f"frame RGB shape {rgb.shape} and disparity shape "
+                             f"{disparity.shape} are not square frames of one size")
         if width % hw:
             raise ModelError(f"frame width {width} is not a multiple of "
                              f"encoder input size {hw}")
         downscale = width // hw
-        z_rgb = self.enc_rgb.encode(standardize_rgb(frame.rgb[None], self.stats, downscale))
+        key = (rgb.shape, rgb.dtype, rgb.tobytes())
+        memo = self._rgb_memo
+        if memo is not None and memo[0] is self.enc_rgb and memo[1] is self.stats \
+                and memo[2] == key:
+            z_rgb = memo[3]
+        else:
+            z_rgb = self.enc_rgb.encode(standardize_rgb(rgb[None], self.stats, downscale))
+            self._rgb_memo = (self.enc_rgb, self.stats, key, z_rgb)
         z_disp = self.enc_disp.encode(
-            standardize_disparity(frame.disparity[None], self.stats, downscale))
+            standardize_disparity(disparity[None], self.stats, downscale))
         return np.concatenate([z_rgb[0], z_disp[0]])
 
 
@@ -279,7 +307,10 @@ def predict_next(bundle: PolicyBundle, frame, state_norm: np.ndarray, hidden):
     """One policy step: encode the frame, run the cell, return (next_state_norm, hidden').
 
     Pure given (bundle, frame, state_norm, hidden); hidden is the
-    (h, c) pair from the previous call or predictor.zero_state(1).
+    (h, c) pair from the previous call or predictor.zero_state(1). The bundle
+    must be frozen (see PolicyBundle): a frame whose RGB bytes equal the last
+    one's reuses its RGB latent, which is exact only while the RGB encoder
+    and the stats are unchanged in place.
     """
     z = bundle.encode_frame(frame)
     x = np.concatenate([z, np.asarray(state_norm, dtype=np.float32)])[None, :]

@@ -8,7 +8,6 @@ dtype; float64 is used for finite-difference gradient verification.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class TrainingDiverged(RuntimeError):
@@ -173,8 +172,9 @@ class Conv2d:
         xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
         xp[:, p:p + h, p:p + w] = x
         sn, sh, sw, sc = xp.strides
-        windows = as_strided(xp, (n, ho, wo, k, k, c), (sn, s * sh, s * sw, sh, sw, sc),
-                             writeable=False)
+        windows = np.ndarray((n, ho, wo, k, k, c), xp.dtype, buffer=xp,
+                             strides=(sn, s * sh, s * sw, sh, sw, sc))
+        windows.flags.writeable = False
         self._cols = windows.reshape(n * ho * wo, k * k * c)
         self._x_shape = x.shape
         out = self._cols @ self.W.value + self.b.value

@@ -350,3 +350,17 @@ def test_bad_config_file_one_line_error(tmp_path, capsys, content, message):
     path.write_bytes(content)
     err = one_line_error(capsys, ["inspect", str(tmp_path), "--config", str(path)], path)
     assert message in err
+
+
+def test_eval_scene_with_non_square_camera_one_line_error(mini_pipeline, tmp_path, capsys):
+    _, _, models = mini_pipeline
+    path = tmp_path / "scene.txt"
+    write_scene_without(path, make_short_scene(0), "camera.height =")
+    with open(path, "a") as fh:
+        fh.write("camera.height = 48\n")
+    capsys.readouterr()
+    assert main(["eval", "--models", str(models), "--scene", str(path),
+                 "--out", str(tmp_path / "eval.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: frame RGB shape (48, 64, 3) and disparity shape (48, 64) "
+                   "are not square frames of one size"]

@@ -110,3 +110,25 @@ def test_csv_header_and_row_shape():
     assert fields[0] == "sc"
     assert fields[2] in ("true", "false")
     assert len(fields) == 7
+
+
+def test_suite_sharing_one_bundle_writes_the_csv_of_fresh_bundles():
+    a, b = (Scenario(f"s{i}", make_short_scene(i), "short") for i in (4, 5))
+    shared, _ = evaluate_suite(untrained_bundle(), [a, b, a], max_steps=15)
+    fresh = [evaluate_suite(untrained_bundle(), [sc], max_steps=15)[0][0] for sc in (a, b, a)]
+    assert reports_to_csv(shared) == reports_to_csv(fresh)
+
+
+def test_frame_sink_that_overwrites_rgb_gives_the_reports_of_a_fresh_bundle():
+    scenario = Scenario("s6", make_short_scene(6), "short")
+
+    def overwrite_odd(t, frame):
+        if t % 2:
+            frame.rgb[...] = 255 - frame.rgb
+
+    used = untrained_bundle()
+    plain = rollout(used, scenario, max_steps=12)  # leaves frame 0's latent kept
+    overwritten = rollout(used, scenario, max_steps=12, frame_sink=overwrite_odd)
+    assert overwritten == rollout(untrained_bundle(), scenario, max_steps=12,
+                                  frame_sink=overwrite_odd)
+    assert overwritten != plain

@@ -182,3 +182,24 @@ def test_meta_integer_the_file_cannot_hold_fails_before_building(tmp_path, cls, 
                                          rf"\d+ parameter values, the file stores {stored}"):
         load_model(path)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_bundle_non_square_frame_raises_naming_both_shapes():
+    with pytest.raises(ModelError, match=r"frame RGB shape \(48, 32, 3\) and disparity shape "
+                                         r"\(48, 32\) are not square frames of one size"):
+        small_bundle().encode_frame(FrameStub(32, 48))
+
+
+def test_bundle_rgb_and_disparity_of_different_sizes_raise():
+    frame = FrameStub(32, 32)
+    frame.disparity = np.zeros((64, 64), dtype=np.float32)
+    with pytest.raises(ModelError, match=r"RGB shape \(32, 32, 3\) and disparity shape \(64, 64\)"):
+        small_bundle().encode_frame(frame)
+
+
+def test_bundle_memo_is_outside_init_repr_and_equality():
+    bundle = small_bundle()
+    twin = PolicyBundle(bundle.enc_rgb, bundle.enc_disp, bundle.predictor, bundle.stats)
+    bundle.encode_frame(FrameStub(32, 32))
+    assert bundle == twin
+    assert repr(bundle) == repr(twin)
