@@ -17,7 +17,7 @@ out_dir.mkdir(exist_ok=True)
 for variant, make in (("short", make_short_scene), ("long", make_long_scene)):
     config = make(seed=2)
     world = World(config)
-    transcript = run_expert(world, config.target_id, variant)
+    transcript = run_expert(world, variant)
     timeline = " -> ".join(f"{phase.value}@{tick}" for tick, phase in transcript.phases)
     print(f"{variant:5s}: {transcript.outcome} in {len(transcript.ticks)} ticks")
     print(f"       {timeline}")

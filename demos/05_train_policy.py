@@ -20,7 +20,7 @@ out_dir.mkdir(parents=True, exist_ok=True)
 episodes = []
 for seed in range(6):
     config = make_short_scene(seed)
-    transcript = run_expert(World(config), config.target_id, "short")
+    transcript = run_expert(World(config), "short")
     episodes.append(record(transcript))
     print(f"episode {seed}: {transcript.outcome}, {len(episodes[-1])} steps")
 

@@ -82,7 +82,7 @@ def write_run_manifest(path, command: str, args: dict, runcfg: RunConfig,
 def _collect_one(variant: str, seed: int, out_dir: str, index: int, runcfg: RunConfig):
     scene_cfg = make_scene(seed, variant, **runcfg.scene_kwargs(variant))
     world = World(scene_cfg)
-    transcript = run_expert(world, scene_cfg.target_id, variant, runcfg.expert_params())
+    transcript = run_expert(world, variant, runcfg.expert_params())
     episode = record(transcript)
     save_episode(episode, FsPath(out_dir) / f"ep_{index:05d}")
     return index, seed, transcript.outcome, transcript.failure, len(episode)
@@ -270,10 +270,13 @@ def cmd_render(args, runcfg: RunConfig) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_ppm(prefix.with_suffix(".ppm"), frame.rgb)
     write_pgm16(prefix.with_suffix(".pgm"), frame.disparity)
-    finite = frame.depth[frame.depth > 0]
+    hit = frame.depth[frame.depth > 0]
     print(f"wrote {prefix.with_suffix('.ppm')} and {prefix.with_suffix('.pgm')}")
-    print(f"depth range [{finite.min():.3f}, {finite.max():.3f}] m over "
-          f"{finite.size}/{frame.depth.size} pixels")
+    if hit.size:
+        print(f"depth range [{hit.min():.3f}, {hit.max():.3f}] m over "
+              f"{hit.size}/{frame.depth.size} pixels")
+    else:
+        print(f"no depth: 0/{frame.depth.size} pixels hit")
     return 0
 
 

@@ -21,7 +21,7 @@ _E, _P, _T = ExpertParams(), PerceptionParams(), TrainConfig()
 
 # key -> (default, parser, help)
 REGISTRY = {
-    "scene.distractors": (DISTRACTORS, int, "extra boxes per scene"),
+    "scene.distractors": (DISTRACTORS, bounded(int, -1), "extra boxes per scene"),
     "scene.short_object_half_extent": (SHORT_OBJECT_HALF_EXTENT, bounded(finite_float, 0.0), "short-variant object half extent (m)"),
     "scene.long_object_half_extent": (LONG_OBJECT_HALF_EXTENT, bounded(finite_float, 0.0), "long-variant object half extent (m)"),
     "sim.depth_noise_sigma": (DEPTH_NOISE_SIGMA, finite_float, "depth noise std (m), 0 disables"),
@@ -76,7 +76,9 @@ class RunConfig:
         return p
 
     def expert_params(self) -> ExpertParams:
-        return ExpertParams(**self._section("expert"), perception=self.perception_params())
+        p = ExpertParams(**self._section("expert"), perception=self.perception_params())
+        p.validate()
+        return p
 
     def train_config(self, seed: int = 0) -> TrainConfig:
         cfg = TrainConfig(**self._section("learner"), seed=seed)

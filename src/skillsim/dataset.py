@@ -57,7 +57,10 @@ class Episode:
     variant: str
     scene: object                     # WorldConfig snapshot
     outcome: str
-    seed: int
+
+    @property
+    def seed(self) -> int:
+        return int(self.scene.rng_seed)
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -95,7 +98,6 @@ def record(transcript: ExpertTranscript) -> Episode:
         variant=transcript.variant,
         scene=transcript.config,
         outcome=transcript.outcome,
-        seed=int(transcript.config.rng_seed),
     )
 
 
@@ -183,7 +185,6 @@ def load_episode(dirpath) -> Episode:
         variant=variant,
         scene=scene,
         outcome=outcome,
-        seed=seed,
     )
 
 

@@ -56,7 +56,9 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
             frame_sink=None) -> RolloutReport:
     """Run the policy closed loop on one scenario until grasp, divergence, or max_steps.
 
-    A non-finite prediction ends the scenario before it is applied.
+    A non-finite prediction ends the scenario before it is applied. A
+    scenario whose config has no target raises ValueError naming its label
+    before the first tick.
     frame_sink, when given, receives (tick, SensorFrame) for every rendered
     frame; useful for dumping rollouts to disk.
     """
@@ -65,6 +67,10 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
             f"state dimension mismatch: model is {bundle.variant}-variant "
             f"(d={bundle.d_state}), scenario is {scenario.variant}-variant")
     world = World(scenario.config)
+    try:
+        target = world.target_object()
+    except ValueError as exc:
+        raise ValueError(f"scenario {scenario.label}: {exc}") from None
     hidden = bundle.predictor.zero_state(1)
     state = np.zeros(bundle.d_state)  # the joints, then the last (v, omega) when long
 
@@ -96,7 +102,7 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
             break
 
     tip = world.gripper_tip()
-    target_center = world.object_centers[scenario.config.target_id]
+    target_center = world.object_centers[target.id]
     return RolloutReport(
         scenario=scenario.label,
         seed=scenario.seed,

@@ -63,6 +63,9 @@ class ExpertParams:
 
     def validate(self):
         check_finite_floats(self)
+        for name in ("locate_noise_sigma", "yaw_jitter_rad"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         check_integer(self.max_ticks, "max_ticks", 0)
         self.perception.validate()
 
@@ -81,7 +84,6 @@ class TickRecord:
 class ExpertTranscript:
     variant: str
     config: WorldConfig
-    target_id: str
     phases: list = field(default_factory=list)     # (tick, ExpertPhase)
     ticks: list = field(default_factory=list)      # TickRecord per simulator tick
     outcome: str = "FAILED"
@@ -119,15 +121,13 @@ def plan_arm(q_start: np.ndarray, q_goal: np.ndarray, world: World) -> ArmPlan:
 class _Run:
     """One expert execution against a world it exclusively owns."""
 
-    def __init__(self, world: World, target_id: str, variant: str, params: ExpertParams):
+    def __init__(self, world: World, variant: str, params: ExpertParams):
         self.world = world
-        self.target_id = target_id
+        self.target = world.target_object()
         self.variant = variant
         self.params = params
         self.rng = np.random.default_rng([world.config.rng_seed, 17])
-        self.transcript = ExpertTranscript(
-            variant=variant, config=copy.deepcopy(world.config), target_id=target_id
-        )
+        self.transcript = ExpertTranscript(variant=variant, config=copy.deepcopy(world.config))
         self.tick = 0
         self.phase: ExpertPhase | None = None
 
@@ -163,15 +163,13 @@ class _Run:
     def locate(self) -> np.ndarray:
         self.enter(ExpertPhase.LOCATE)
         if self.variant == "short":
-            true_center = self.world.object_centers[self.target_id]
+            true_center = self.world.object_centers[self.target.id]
             noise = self.rng.normal(0.0, self.params.locate_noise_sigma, size=3)
             return true_center + noise
         return self.locate_with_camera()
 
     def locate_with_camera(self) -> np.ndarray:
-        frame = self.world.render()
-        color = self.world.config.object(self.target_id).color
-        return locate_object(frame, color, self.params.perception)
+        return locate_object(self.world.render(), self.target.color, self.params.perception)
 
     def align_to(self, point_xy: np.ndarray):
         """Rotate in place until the base heading points exactly at point_xy."""
@@ -258,7 +256,7 @@ class _Run:
             target = self.world.state.joints.copy()
             target[4] = 0.0
             self.drive(BaseCommand(), target)
-            if self.world.state.attached_object == self.target_id:
+            if self.world.state.attached_object == self.target.id:
                 return
             if self.world.state.joints[4] <= 0.0:
                 self.fail("grasp failed")
@@ -289,41 +287,22 @@ class _Run:
 
 def run_expert(
     world: World,
-    target_id: str,
     variant: str = "short",
     params: ExpertParams | None = None,
 ) -> ExpertTranscript:
     """Execute the grasp routine on `world`, which the expert exclusively owns.
 
-    variant "long" localizes with the camera pipeline and navigates to a
-    standoff pose first; "short" starts within reach and localizes from
-    ground truth corrupted by Gaussian noise. Failures of any sub-step end
-    the run with outcome FAILED and the cause recorded; nothing propagates.
-    Before the first tick, an unknown variant or invalid `params` (a NaN or
-    infinite float, say) raise ValueError and an unknown target KeyError.
+    The target is the world's: `world.target_object()`, the object its
+    config's `target_id` names. variant "long" localizes with the camera
+    pipeline and navigates to a standoff pose first; "short" starts within
+    reach and localizes from ground truth corrupted by Gaussian noise.
+    Failures of any sub-step end the run with outcome FAILED and the cause
+    recorded; nothing propagates. Before the first tick, an unknown variant,
+    invalid `params` (a NaN or infinite float, say) or a config without a
+    target raise ValueError.
     """
     if variant not in ("short", "long"):
         raise ValueError(f"unknown variant {variant!r}")
     params = params or ExpertParams()
     params.validate()
-    world.config.object(target_id)  # raises KeyError for unknown targets
-    return _Run(world, target_id, variant, params).run()
-
-
-def transcript_to_text(transcript: ExpertTranscript) -> str:
-    """Debug dump, one line per tick. Format is not a stable interface."""
-    lines = [
-        f"variant={transcript.variant} target={transcript.target_id} "
-        f"outcome={transcript.outcome} failure={transcript.failure or '-'}"
-    ]
-    phase_at = dict(transcript.phases)
-    for i, rec in enumerate(transcript.ticks):
-        if i in phase_at:
-            lines.append(f"--- phase {phase_at[i].value}")
-        joints = " ".join(f"{v:.4f}" for v in rec.joints)
-        lines.append(
-            f"t={i:5d} phase={rec.phase:8s} v={rec.v:+.3f} w={rec.omega:+.3f} "
-            f"base=({rec.base[0]:+.3f},{rec.base[1]:+.3f},{rec.base[2]:+.3f}) "
-            f"joints=[{joints}]"
-        )
-    return "\n".join(lines) + "\n"
+    return _Run(world, variant, params).run()

@@ -163,6 +163,8 @@ class WorldConfig:
                 _check_finite(f"obstacle {i} {name}", getattr(box, name))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.depth_noise_sigma < 0:
+            raise ValueError(f"depth_noise_sigma must be non-negative, got {self.depth_noise_sigma!r}")
         if not np.all(self.table_size > 0):
             raise ValueError("table size must be positive")
         if not self.objects:

@@ -99,6 +99,18 @@ def test_render_writes_images(tmp_path, capsys):
     assert "depth range" in capsys.readouterr().out
 
 
+def test_render_scene_where_no_ray_hits_reports_zero_pixels(tmp_path, capsys):
+    cfg = make_short_scene(4)
+    cfg.camera.pitch_rad = -1.2   # looking up, above the horizon
+    scene_path = tmp_path / "scene.txt"
+    save_scene(scene_path, cfg)
+    assert main(["render", "--scene", str(scene_path), "--out", str(tmp_path / "frame")]) == 0
+    out = capsys.readouterr().out
+    assert "no depth: 0/4096 pixels hit" in out
+    assert "depth range" not in out
+    assert not read_pgm16(tmp_path / "frame.pgm").any()
+
+
 def test_gradcheck_cli(capsys):
     assert main(["gradcheck", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -364,3 +376,29 @@ def test_eval_scene_with_non_square_camera_one_line_error(mini_pipeline, tmp_pat
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: frame RGB shape (48, 64, 3) and disparity shape (48, 64) "
                    "are not square frames of one size"]
+
+
+@pytest.mark.parametrize("setting", ["sim.depth_noise_sigma=-0.01",
+                                     "expert.locate_noise_sigma=-0.01",
+                                     "expert.yaw_jitter_rad=-0.2"])
+def test_negative_noise_or_jitter_flag_one_line_error(tmp_path, capsys, setting):
+    field = setting.split("=")[0].split(".")[1]
+    err = one_line_error(capsys, ["collect", "--variant", "short", "--episodes", "1",
+                                  "--out", str(tmp_path / "d"), "--set", setting], field)
+    assert f"{field} must be non-negative" in err
+
+
+def test_negative_distractor_count_flag_one_line_error(tmp_path, capsys):
+    err = one_line_error(capsys, ["collect", "--variant", "short", "--episodes", "1",
+                                  "--out", str(tmp_path / "d"), "--set", "scene.distractors=-3"],
+                         "scene.distractors")
+    assert "bad value" in err
+
+
+def test_eval_scene_without_target_one_line_error_naming_it(mini_pipeline, tmp_path, capsys):
+    _, _, models = mini_pipeline
+    path = tmp_path / "untargeted.txt"
+    write_scene_without(path, make_short_scene(0), "target =")
+    err = one_line_error(capsys, ["eval", "--models", str(models), "--scene", str(path),
+                                  "--out", str(tmp_path / "eval.csv")], "scenario untargeted")
+    assert err == "error: scenario untargeted: no target object designated"

@@ -59,6 +59,18 @@ def test_derived_param_objects():
     assert train.seed == 4
 
 
+def test_expert_params_are_validated():
+    cfg = load_run_config(overrides=["expert.yaw_jitter_rad=-0.2"])
+    with pytest.raises(ValueError, match="^yaw_jitter_rad must be non-negative"):
+        cfg.expert_params()
+
+
+def test_distractor_count_must_not_be_negative():
+    with pytest.raises(ConfigError, match="bad value for scene.distractors"):
+        load_run_config(overrides=["scene.distractors=-3"])
+    assert load_run_config(overrides=["scene.distractors=0"])["scene.distractors"] == 0
+
+
 def test_describe_carries_provenance():
     cfg = load_run_config(overrides=["eval.max_steps=50"])
     desc = cfg.describe()

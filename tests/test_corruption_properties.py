@@ -36,7 +36,7 @@ def tiny_episode():
                               axis=1).astype(np.float32),
         rgb=rng.integers(0, 256, (steps, h, w, 3), dtype=np.uint8),
         disparity=rng.uniform(0, 8, (steps, h, w)).astype(np.float32),
-        variant="long", scene=make_long_scene(0), outcome="DONE", seed=0)
+        variant="long", scene=make_long_scene(0), outcome="DONE")
 
 
 def write_episode(path):

@@ -22,7 +22,8 @@ from skillsim.dataset import (
     save_episode,
     state_dim,
 )
-from skillsim.scene import config_from_dict, config_to_dict, make_long_scene, make_short_scene
+from skillsim.scene import (config_from_dict, config_to_dict, make_long_scene, make_scene,
+                            make_short_scene)
 
 
 def episodes_equal(a, b):
@@ -41,13 +42,13 @@ def synthetic_episode(rng, steps=12, variant="short", h=8, w=8, outcome="DONE", 
         rgb=rng.integers(0, 256, (steps, h, w, 3), dtype=np.uint8),
         disparity=(rng.uniform(0, 8, (steps, h, w))
                    * (rng.uniform(size=(steps, h, w)) > 0.1)).astype(np.float32),
-        variant=variant, scene=make_short_scene(seed), outcome=outcome, seed=seed)
+        variant=variant, scene=make_short_scene(seed), outcome=outcome)
 
 
 @pytest.fixture(scope="module")
 def short_transcript():
     cfg = make_short_scene(0)
-    return run_expert(World(cfg), cfg.target_id, "short")
+    return run_expert(World(cfg), "short")
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ def test_record_short_episode(short_episode):
 
 def test_record_long_episode_carries_commands():
     cfg = make_long_scene(0)
-    transcript = run_expert(World(cfg), cfg.target_id, "long")
+    transcript = run_expert(World(cfg), "long")
     ep = record(transcript)
     assert ep.variant == "long"
     assert ep.states.shape == (len(ep), 7) and ep.states.dtype == np.float32
@@ -86,7 +87,7 @@ def test_record_long_episode_carries_commands():
 def test_record_long_run_failed_before_any_tick():
     cfg = make_long_scene(0)
     cfg.robot_start = cfg.robot_start + np.array([0.0, 0.0, np.pi])  # target out of view
-    ep = record(run_expert(World(cfg), cfg.target_id, "long"))
+    ep = record(run_expert(World(cfg), "long"))
     assert ep.outcome == "FAILED"
     assert ep.states.shape == (0, 7) and ep.rgb.shape == (0, 64, 64, 3)
 
@@ -99,14 +100,14 @@ def test_record_failed_run_kept():
 
 def test_record_replay_deterministic(short_episode):
     cfg = make_short_scene(0)
-    transcript = run_expert(World(cfg), cfg.target_id, "short")
+    transcript = run_expert(World(cfg), "short")
     again = record(transcript)
     assert episodes_equal(short_episode, again)
 
 
 def test_record_rejects_transcript_replay_diverges_from():
     cfg = make_short_scene(0)
-    transcript = run_expert(World(cfg), cfg.target_id, "short")
+    transcript = run_expert(World(cfg), "short")
     wrong_command = copy.deepcopy(transcript)
     wrong_command.ticks[10].v = 0.2          # a command the expert did not give
     wrong_state = copy.deepcopy(transcript)
@@ -114,6 +115,16 @@ def test_record_rejects_transcript_replay_diverges_from():
     for tampered, tick in ((wrong_command, 11), (wrong_state, 7)):
         with pytest.raises(DatasetError, match=rf"replay diverged from the transcript at tick {tick}$"):
             record(tampered)
+
+
+@pytest.mark.parametrize("variant", ["short", "long"])
+def test_episode_seed_is_the_scene_rng_seed(tmp_path, variant):
+    ep = record(run_expert(World(make_scene(3, variant)), variant))
+    assert ep.seed == ep.scene.rng_seed == 3
+    save_episode(ep, tmp_path / "ep")
+    assert json.loads((tmp_path / "ep" / "manifest.json").read_text())["seed"] == 3
+    back = load_episode(tmp_path / "ep")
+    assert back.seed == back.scene.rng_seed == 3
 
 
 # ----------------------------------------------------------------------

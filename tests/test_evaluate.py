@@ -57,6 +57,16 @@ def test_variant_mismatch_rejected():
         rollout(bundle, Scenario("long0", cfg, "long"))
 
 
+def test_scenario_without_target_raises_naming_it_before_the_first_tick():
+    cfg = make_short_scene(0)
+    cfg.target_id = None
+    ticks = []
+    with pytest.raises(ValueError, match="^scenario untargeted: no target object designated$"):
+        rollout(untrained_bundle(), Scenario("untargeted", cfg, "short"),
+                frame_sink=lambda t, frame: ticks.append(t))
+    assert ticks == []
+
+
 @pytest.mark.parametrize("d_state, variant", [(5, "short"), (7, "long")])
 def test_non_finite_prediction_ends_rollout_before_stepping(d_state, variant):
     bundle = untrained_bundle(d_state=d_state)

@@ -11,9 +11,8 @@ from skillsim import (
     plan_arm,
     run_expert,
 )
-from skillsim.expert import transcript_to_text
 from skillsim.kinematics import fk
-from skillsim.scene import make_long_scene, make_short_scene
+from skillsim.scene import make_long_scene, make_scene, make_short_scene
 from skillsim.sim import ObjectSpec, WorldConfig
 
 CANONICAL = [ExpertPhase.LOCATE, ExpertPhase.NAVIGATE, ExpertPhase.REACH,
@@ -79,7 +78,7 @@ def test_plan_arm_step_limits_per_joint():
 def test_short_expert_reaches_done_with_attachment():
     cfg = make_short_scene(0)
     world = World(cfg)
-    transcript = run_expert(world, cfg.target_id, "short")
+    transcript = run_expert(world, "short")
     assert transcript.outcome == "DONE"
     assert world.state.attached_object == cfg.target_id
     assert [p for _, p in transcript.phases] == [
@@ -91,13 +90,13 @@ def test_short_expert_reaches_done_with_attachment():
 def test_short_expert_gate_ten_scenes():
     for seed in range(10):
         cfg = make_short_scene(seed)
-        transcript = run_expert(World(cfg), cfg.target_id, "short")
+        transcript = run_expert(World(cfg), "short")
         assert transcript.outcome == "DONE", (seed, transcript.failure)
 
 
 def test_short_expert_records_zero_base_motion():
     cfg = make_short_scene(1)
-    transcript = run_expert(World(cfg), cfg.target_id, "short")
+    transcript = run_expert(World(cfg), "short")
     assert all(rec.v == 0.0 and rec.omega == 0.0 for rec in transcript.ticks)
 
 
@@ -108,7 +107,7 @@ def test_short_expert_out_of_reach_fails_unreachable():
         table_center=np.array([11.2, 0.0, 0.2]),
         target_id="far",
     )
-    transcript = run_expert(World(cfg), "far", "short")
+    transcript = run_expert(World(cfg), "short")
     assert transcript.outcome == "FAILED"
     assert transcript.failure == "unreachable target"
     assert_phase_prefix(transcript)
@@ -116,7 +115,7 @@ def test_short_expert_out_of_reach_fails_unreachable():
 
 def test_long_expert_navigates_before_arm_motion():
     cfg = make_long_scene(0)
-    transcript = run_expert(World(cfg), cfg.target_id, "long")
+    transcript = run_expert(World(cfg), "long")
     assert transcript.outcome == "DONE"
     nav_ticks = [r for r in transcript.ticks if r.phase == "NAVIGATE"]
     assert any(r.v != 0.0 or r.omega != 0.0 for r in nav_ticks)
@@ -133,7 +132,7 @@ def test_long_expert_target_out_of_view_fails_not_found():
     """The camera faces away from the table, so the color segment is empty."""
     cfg = make_long_scene(0)
     cfg.robot_start = cfg.robot_start + np.array([0.0, 0.0, np.pi])
-    transcript = run_expert(World(cfg), cfg.target_id, "long")
+    transcript = run_expert(World(cfg), "long")
     assert transcript.outcome == "FAILED"
     assert transcript.failure == "object not found"
     assert transcript.phases == [(0, ExpertPhase.LOCATE), (0, ExpertPhase.FAILED)]
@@ -145,15 +144,15 @@ def test_long_expert_start_three_meters_away():
     start = cfg.robot_start[:2]
     obj = cfg.object(cfg.target_id).center[:2]
     assert np.linalg.norm(start - obj) == pytest.approx(3.0)
-    transcript = run_expert(World(cfg), cfg.target_id, "long")
+    transcript = run_expert(World(cfg), "long")
     assert transcript.outcome == "DONE"
     assert any(p == ExpertPhase.NAVIGATE for _, p in transcript.phases)
 
 
 def test_expert_determinism():
     cfg = make_short_scene(2)
-    t1 = run_expert(World(cfg), cfg.target_id, "short")
-    t2 = run_expert(World(make_short_scene(2)), cfg.target_id, "short")
+    t1 = run_expert(World(cfg), "short")
+    t2 = run_expert(World(make_short_scene(2)), "short")
     assert len(t1.ticks) == len(t2.ticks)
     for a, b in zip(t1.ticks, t2.ticks):
         assert np.array_equal(a.joints, b.joints)
@@ -165,30 +164,45 @@ def test_expert_determinism():
 def test_phase_prefix_property_across_seeds():
     for seed in range(6):
         cfg = make_short_scene(seed)
-        assert_phase_prefix(run_expert(World(cfg), cfg.target_id, "short"))
+        assert_phase_prefix(run_expert(World(cfg), "short"))
         cfg = make_long_scene(seed)
-        assert_phase_prefix(run_expert(World(cfg), cfg.target_id, "long"))
+        assert_phase_prefix(run_expert(World(cfg), "long"))
 
 
-def test_transcript_text_dump():
-    cfg = make_short_scene(0)
-    transcript = run_expert(World(cfg), cfg.target_id, "short")
-    text = transcript_to_text(transcript)
-    assert "outcome=DONE" in text
-    assert "phase=GRASP" in text
-    assert sum(line.startswith("t=") for line in text.splitlines()) == len(transcript.ticks)
+@pytest.mark.parametrize("variant", ["short", "long"])
+def test_config_without_target_raises_before_the_first_tick(variant):
+    cfg = make_scene(0, variant)
+    cfg.target_id = None
+    world = World(cfg)
+    with pytest.raises(ValueError, match="^no target object designated$"):
+        run_expert(world, variant)
+    assert np.array_equal(world.state.base, cfg.robot_start)
+    assert np.array_equal(world.state.joints, cfg.robot_joints)
+    assert world.state.attached_object is None
+
+
+@pytest.mark.parametrize("name", ["locate_noise_sigma", "yaw_jitter_rad"])
+def test_negative_noise_or_jitter_rejected_naming_the_field(name):
+    """A negative sigma would stop numpy's normal draw mid-run with an error
+    that names nothing; a negative jitter amplitude means nothing."""
+    params = ExpertParams(**{name: -0.01})
+    world = World(make_long_scene(0))
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -0.01$"):
+        run_expert(world, "long", params)
+    assert np.array_equal(world.state.base, world.config.robot_start)
+    ExpertParams(**{name: 0.0}).validate()
 
 
 def test_unknown_variant_rejected():
     cfg = make_short_scene(0)
     with pytest.raises(ValueError, match="unknown variant"):
-        run_expert(World(cfg), cfg.target_id, "medium")
+        run_expert(World(cfg), "medium")
 
 
 @pytest.mark.parametrize("max_ticks", [0, 5])
 def test_tick_budget_records_at_most_max_ticks(max_ticks):
     cfg = make_short_scene(0)
-    transcript = run_expert(World(cfg), cfg.target_id, "short", ExpertParams(max_ticks=max_ticks))
+    transcript = run_expert(World(cfg), "short", ExpertParams(max_ticks=max_ticks))
     assert transcript.outcome == "FAILED"
     assert transcript.failure == "tick budget exceeded"
     assert len(transcript.ticks) == max_ticks
@@ -198,10 +212,10 @@ def test_tick_budget_boundary():
     """A run that needs n ticks completes under a budget of n and fails with
     n - 1 ticks recorded under a budget of n - 1."""
     cfg = make_short_scene(0)
-    n = len(run_expert(World(cfg), cfg.target_id, "short").ticks)
-    done = run_expert(World(cfg), cfg.target_id, "short", ExpertParams(max_ticks=n))
+    n = len(run_expert(World(cfg), "short").ticks)
+    done = run_expert(World(cfg), "short", ExpertParams(max_ticks=n))
     assert done.outcome == "DONE" and len(done.ticks) == n
-    cut = run_expert(World(cfg), cfg.target_id, "short", ExpertParams(max_ticks=n - 1))
+    cut = run_expert(World(cfg), "short", ExpertParams(max_ticks=n - 1))
     assert cut.failure == "tick budget exceeded" and len(cut.ticks) == n - 1
 
 
@@ -215,5 +229,5 @@ def test_max_ticks_must_be_a_non_negative_int(max_ticks):
         params.validate()
     world = World(cfg)
     with pytest.raises(ValueError, match=r"^max_ticks must be an integer >= 0"):
-        run_expert(world, cfg.target_id, "long", params)
+        run_expert(world, "long", params)
     assert np.array_equal(world.state.base, cfg.robot_start)

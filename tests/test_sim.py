@@ -315,6 +315,17 @@ def test_world_rejects_a_non_finite_config_float_naming_it(name, value):
         World(cfg)
 
 
+def test_world_rejects_a_negative_depth_noise_sigma_naming_it():
+    """render draws noise only for a positive sigma, so a negative one would
+    silently turn the noise off."""
+    cfg = make_scene(0, "short")
+    cfg.depth_noise_sigma = -0.01
+    with pytest.raises(ValueError, match="^depth_noise_sigma must be non-negative, got -0.01$"):
+        World(cfg)
+    cfg.depth_noise_sigma = 0.0
+    World(cfg)
+
+
 # ----------------------------------------------------------------------
 # golden frames
 

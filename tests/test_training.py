@@ -41,7 +41,7 @@ def make_episode(rng, steps, variant="short", constant=False, seed=0, h=16, w=16
         states.append(row.astype(np.float32))
         disparity.append((ramp * scale).astype(np.float32))
     return Episode(states=np.stack(states), rgb=np.stack(rgb), disparity=np.stack(disparity),
-                   variant=variant, scene=make_short_scene(seed), outcome="DONE", seed=seed)
+                   variant=variant, scene=make_short_scene(seed), outcome="DONE")
 
 
 @pytest.fixture(scope="module")

@@ -54,7 +54,7 @@ def test_a_non_finite_float_leaf_is_rejected_naming_it(leaf, value):
         params.validate()
     world = World(cfg)
     with pytest.raises(ValueError, match=message):
-        run_expert(world, cfg.target_id, "short", params)
+        run_expert(world, "short", params)
     # no tick ran: the world is where it started
     assert np.array_equal(world.state.base, cfg.robot_start)
     assert np.array_equal(world.state.joints, cfg.robot_joints)
