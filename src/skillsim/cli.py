@@ -295,11 +295,19 @@ def cmd_gradcheck(args, runcfg: RunConfig) -> int:
 # parser
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collect", help="run the expert and record episodes")
     p.add_argument("--variant", choices=("short", "long"), required=True)
     p.add_argument("--episodes", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=_positive_int, default=1)
     add_common(p)
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--modality", choices=("rgb", "disparity"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_train_autoencoder)
 
@@ -337,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--models", required=True,
                    help="directory with the trained autoencoders; receives the predictor")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -365,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -105,7 +105,7 @@ def voxel_grid_filter(cloud: PointCloud, leaf: float) -> PointCloud:
 
 
 KNN_SLOTS = 1 << 16  # candidate slots (rows x padded width) per block of the k-NN
-KNN_CELLS_PER_K = 32  # first-level cells in the bounding box, per point, times k
+KNN_CELLS_PER_K = 128  # first-level cells in the bounding box, per point, times k
 
 
 def _knn_mean_distances(pos: np.ndarray, k: int) -> np.ndarray:
@@ -143,13 +143,19 @@ def _knn_mean_distances(pos: np.ndarray, k: int) -> np.ndarray:
 
     Cell size. The first cells make about KNN_CELLS_PER_K * n / k cells in
     the bounding box, counting only the axes the cloud spans (h is the
-    largest of the 1-, 2- and 3-axis sizes). That many cells per point suits
-    the surfaces a depth camera sees, which fill little of their box.
+    largest of the 1-, 2- and 3-axis sizes). The argument above holds for
+    any h, so h sets only the cost: smaller cells give the first ring fewer
+    candidates a row and leave more rows to the wider rings. The surfaces a
+    depth camera sees fill little of their box, and the first ring costs
+    most. On the long scenes' 4096-point start frames, 128 cells per point
+    per k gave the first ring 82-86 candidate slots a row where 32 gave
+    166-179.
 
-    Memory. The cell table has at most ~7 * KNN_CELLS_PER_K * n / k entries,
-    the per-row tables 9 entries a row. Candidates are padded into row blocks
-    of at most KNN_SLOTS slots; a row wider than that goes alone, with at
-    most n slots.
+    Memory. The cell table and the per-cell counts each have at most
+    ~7 * KNN_CELLS_PER_K * n / k entries, so they grow with KNN_CELLS_PER_K:
+    at 128 and k = 8 that is 112 int64 entries a point. The per-row tables
+    have 9 entries a row. Candidates are padded into row blocks of at most
+    KNN_SLOTS slots; a row wider than that goes alone, with at most n slots.
     """
     n = pos.shape[0]
     lo = pos.min(axis=0)

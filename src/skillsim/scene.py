@@ -13,6 +13,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
+from .perception import check_integer
 from .sim import (DEPTH_NOISE_SIGMA, TABLE_CENTER, TABLE_SIZE, Box, CameraIntrinsics,
                   ObjectSpec, WorldConfig)
 
@@ -35,6 +36,7 @@ LONG_OBJECT_HALF_EXTENT = 0.05   # m
 def _place_objects(rng, target_xy, distractors, half_extent):
     """The red target box0 at target_xy, then distractors box1, box2, ...
     elsewhere on the table, clear of the target and the grasp lane."""
+    check_integer(distractors, "distractors", 0)
     names = list(PALETTE)[1:]
     placed = [("box0", *target_xy, PALETTE["red"])]
     for i in range(distractors):

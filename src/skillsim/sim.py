@@ -57,6 +57,15 @@ def check_finite_floats(params, prefix: str = "") -> None:
             _check_finite(prefix + f.name, getattr(params, f.name))
 
 
+def _check_depth_noise_sigma(sigma) -> None:
+    """Raise ValueError naming depth_noise_sigma unless it is finite and non-negative:
+    render draws noise only for a positive sigma, so a negative one would
+    silently turn the noise off."""
+    _check_finite("depth_noise_sigma", sigma)
+    if sigma < 0:
+        raise ValueError(f"depth_noise_sigma must be non-negative, got {sigma!r}")
+
+
 @dataclass
 class ObjectSpec:
     """A colored axis-aligned box resting in the scene."""
@@ -152,8 +161,7 @@ class WorldConfig:
         self.dt = float(self.dt)
 
     def validate(self):
-        for name in ("dt", "depth_noise_sigma", "table_center", "table_size", "robot_start",
-                     "robot_joints"):
+        for name in ("dt", "table_center", "table_size", "robot_start", "robot_joints"):
             _check_finite(name, getattr(self, name))
         for obj in self.objects:
             for name in ("center", "half_extents", "color"):
@@ -163,8 +171,7 @@ class WorldConfig:
                 _check_finite(f"obstacle {i} {name}", getattr(box, name))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.depth_noise_sigma < 0:
-            raise ValueError(f"depth_noise_sigma must be non-negative, got {self.depth_noise_sigma!r}")
+        _check_depth_noise_sigma(self.depth_noise_sigma)
         if not np.all(self.table_size > 0):
             raise ValueError("table size must be positive")
         if not self.objects:
@@ -252,23 +259,27 @@ def in_base_slab(lo: np.ndarray, hi: np.ndarray) -> bool:
 def _ray_aabb(origin: np.ndarray, inv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Entry distance of each ray into an AABB, +inf where the ray misses.
 
-    `inv` is 1.0 / dirs for rays of any leading shape, and distances are in
-    units of those (unnormalized) directions. The slab bounds are reduced
-    column by column with np.maximum/np.minimum; that is bit-equal to
-    `.max(axis=-1)`/`.min(axis=-1)`, signed zeros included, and avoids
-    numpy's per-row loop over a length-3 axis. With finite inputs a slab
-    product is NaN only as 0 * inf, where a ray parallel to an axis starts on
-    the plane of a face; fmin/fmax then return the other face's product, so a
-    NaN bound would need lo == hi == origin on that axis, a box of no width.
-    No NaN reaches the bounds, and no clamp is needed. The caller silences
-    numpy's warnings for 0 * inf.
+    `inv` holds 1.0 / dirs as one plane per axis, shape (3, rows, cols), and
+    distances are in units of those (unnormalized) directions. Each axis's
+    plane is scaled by that axis's box bounds minus origin, and the slab
+    bounds are reduced plane by plane as max(max(x, y), z) and
+    min(min(x, y), z). Per ray these are the products, fmin/fmax and
+    max/min of a reduction over an (N, 3) layout, in the same order and with
+    the same arguments, so they have the same bits, signed zeros included.
+    With finite inputs a slab product is NaN only as 0 * inf, where a ray
+    parallel to an axis starts on the plane of a face; fmin/fmax then return
+    the other face's product, so a NaN bound would need lo == hi == origin on
+    that axis, a box of no width. No NaN reaches the bounds, and no clamp is
+    needed. The caller silences numpy's warnings for 0 * inf.
     """
-    ta = (lo - origin) * inv
-    tb = (hi - origin) * inv
+    ta = (lo - origin)[:, None, None] * inv
+    tb = (hi - origin)[:, None, None] * inv
     tlo = np.fmin(ta, tb)
-    thi = np.fmax(ta, tb)
-    tmin = np.maximum(np.maximum(tlo[..., 0], tlo[..., 1]), tlo[..., 2])
-    tmax = np.minimum(np.minimum(thi[..., 0], thi[..., 1]), thi[..., 2])
+    thi = np.fmax(ta, tb, out=tb)
+    tmin = np.maximum(tlo[0], tlo[1])
+    np.maximum(tmin, tlo[2], out=tmin)
+    tmax = np.minimum(thi[0], thi[1])
+    np.minimum(tmax, thi[2], out=tmax)
     hit = (tmax >= tmin) & (tmax > 0.0)
     return np.where(hit, np.maximum(tmin, 0.0), np.inf)
 
@@ -287,8 +298,9 @@ class World:
         self._attach_offset = None
         self._rng = np.random.default_rng(config.rng_seed)
         self._pixel_dirs = self._make_pixel_dirs(config.camera)
-        # the hit cache of `_cast`: (pose bytes, dirs) of the last cast, one
-        # (corner bytes, window, t or None) per box, and (tables, frame arrays)
+        # the hit cache of `_cast`: (pose bytes, dirs, 1 / dirs planes) of the
+        # last cast, one (corner bytes, window, t or None) per box, and
+        # (tables, frame arrays)
         self._view = None
         self._hits = []
         self._frame = None
@@ -421,27 +433,33 @@ class World:
 
     def _cast(self, origin: np.ndarray, rot: np.ndarray, lohi: np.ndarray,
               colors: np.ndarray, hids: tuple) -> tuple:
-        """The noiseless part of a frame: (dirs, depth, rgb_f, rgb, hit_ids), flat.
+        """The noiseless part of a frame: (dirs, depth, idx, table, rgb, hit_ids).
 
         `lohi` (B, 2, 3) holds the boxes' corners, `colors` (B, 3) and `hids`
         their colors and hit ids, from which a [sky] + boxes table gives each
-        pixel its color and hit id. Each box is cast only over its
-        pixel window (see `_windows`). Its window and the entry distance t of
-        each ray in it are kept, keyed on the bytes of the camera pose and of
-        the box's corners (-0.0 and 0.0 differ). They depend on nothing else,
-        so at the pose of the last cast only a stale box is cast again: one
-        whose corners changed, or one past the boxes that cast had. A new
-        pose casts every box. The kept t are then composited in box order
-        with a strict `t < best`, which picks the nearest box, ties going to
-        the first, exactly as one cast of every box would; pixels outside
-        every window keep t = inf. Each pixel's color and hit id are gathered
-        from the tables, which copies their values bit for bit, so a recolor
-        casts nothing. With no stale box and equal tables the last frame's
-        arrays are returned. They are read-only, since render() hands them
-        to every frame of the same view. Before anything is cast, the pose,
-        corners and colors are checked to be finite. Only finite values are
-        kept, so one that is not finite never matches them: it always raises
-        ValueError.
+        pixel its color and hit id. `table` is the float color table; the
+        other arrays are flat, one entry per pixel, and idx is the pixel's
+        row of `table`, from which the cloud gathers the colors it keeps.
+
+        The view of a pose is its ray directions `dirs` (N, 3) and their
+        reciprocals as (3, H, W) planes, one per axis; it is kept until the
+        pose changes. Each box is cast only over its pixel window (see
+        `_windows`), on the window's slice of those planes. Its window and
+        the entry distance t of each ray in it are kept, keyed on the bytes
+        of the camera pose and of the box's corners (-0.0 and 0.0 differ).
+        They depend on nothing else, so at the pose of the last cast only a
+        stale box is cast again: one whose corners changed, or one past the
+        boxes that cast had. A new pose casts every box. The kept t are then
+        composited on (H, W) planes in box order with a strict `t < best`,
+        which picks the nearest box, ties going to the first, exactly as one
+        cast of every box would; pixels outside every window keep t = inf.
+        Each pixel's color and hit id are gathered from the tables, which
+        copies their values bit for bit, so a recolor casts nothing. With no
+        stale box and equal tables the last frame's arrays are returned. They
+        are read-only, since render() hands them to every frame of the same
+        view. Before anything is cast, the pose, corners and colors are
+        checked to be finite. Only finite values are kept, so one that is not
+        finite never matches them: it always raises ValueError.
         """
         cam = self.config.camera
         h, w = cam.height, cam.width
@@ -458,13 +476,16 @@ class World:
                                            colors.ravel()])).all():
             raise ValueError("camera pose and box corners must be finite to render")
         if not same_pose:
-            self._view = (pose, self._pixel_dirs @ rot.T)
-        dirs = self._view[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = (1.0 / dirs).reshape(h, w, 3)
+            dirs = self._pixel_dirs @ rot.T
+            inv = np.empty((3, h, w))
+            with np.errstate(divide="ignore"):
+                np.divide(1.0, dirs.T.reshape(3, h, w), out=inv)
+            self._view = (pose, dirs, inv)
+        _, dirs, inv = self._view
+        with np.errstate(invalid="ignore"):
             for j, window in zip(stale, self._windows(origin, rot, lohi[stale])):
                 r0, r1, c0, c1 = window
-                t = (_ray_aabb(origin, inv[r0:r1, c0:c1], lohi[j, 0], lohi[j, 1])
+                t = (_ray_aabb(origin, inv[:, r0:r1, c0:c1], lohi[j, 0], lohi[j, 1])
                      if r0 < r1 and c0 < c1 else None)
                 hits[j] = (keys[j], window, t)
         self._hits = hits
@@ -476,15 +497,14 @@ class World:
             best = t_best[r0:r1, c0:c1]
             closer = t < best
             np.copyto(best, t, where=closer)
-            idx[r0:r1, c0:c1][closer] = j + 1
+            np.copyto(idx[r0:r1, c0:c1], j + 1, where=closer)
         idx, t_best = idx.ravel(), t_best.ravel()
         # take() copies the same table rows as fancy indexing, in a third of the time
         table = np.concatenate([[SKY_COLOR], colors])
-        rgb_f = table.take(idx, axis=0)
         rgb = np.rint(table * 255.0).astype(np.uint8).take(idx, axis=0)
         hit_ids = np.array((HIT_NONE,) + hids, dtype=np.int32).take(idx)
         depth = np.where(np.isfinite(t_best), t_best, 0.0)
-        cast = (dirs, depth, rgb_f, rgb, hit_ids)
+        cast = (dirs, depth, idx, table, rgb, hit_ids)
         for a in cast:
             a.flags.writeable = False
         self._frame = (tables, cast)
@@ -524,9 +544,12 @@ class World:
         every frame, so the RNG stream does not depend on what was reused.
         Only the boxes that moved since the last frame at the same camera
         pose are cast again (see `_cast`). A pose or box that is not finite
-        raises ValueError instead of a cast.
+        raises ValueError instead of a cast, and so does a depth_noise_sigma
+        argument that WorldConfig.validate would reject.
         The frame's arrays are its own, and the cloud is built on first access.
         """
+        if depth_noise_sigma is not None:
+            _check_depth_noise_sigma(depth_noise_sigma)
         cam = self.config.camera
         sigma = self.config.depth_noise_sigma if depth_noise_sigma is None else depth_noise_sigma
         origin, rot = self.camera_pose()
@@ -534,7 +557,7 @@ class World:
         lohi = np.array([(lo, hi) for lo, hi, _, _ in boxes])
         colors = np.array([color for _, _, color, _ in boxes], dtype=float)
         hids = tuple(hid for *_, hid in boxes)
-        dirs, depth, rgb_f, rgb, hit_ids = self._cast(origin, rot, lohi, colors, hids)
+        dirs, depth, idx, table, rgb, hit_ids = self._cast(origin, rot, lohi, colors, hids)
 
         if sigma > 0.0:
             noise = self._rng.normal(0.0, sigma, size=dirs.shape[0])
@@ -550,7 +573,7 @@ class World:
             d32 = depth.astype(np.float32)
             mask = d32 > 0.0
             pts = origin[None, :] + d32[mask, None].astype(float) * dirs[mask]
-            return PointCloud(pts, rgb_f[mask])
+            return PointCloud(pts, table.take(idx[mask], axis=0))
 
         h, w = cam.height, cam.width
         return SensorFrame(

@@ -64,6 +64,20 @@ def test_collect_zero_episodes_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["collect", "--variant", "short", "--episodes", "1", "--out"],
+    ["train-autoencoder", "--dataset", "data", "--modality", "rgb", "--out"],
+    ["train", "--dataset", "data", "--models"],
+    ["gradcheck", "--config"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_usage_error_names_the_flag(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(tmp_path / "x"), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_collect_invalid_variant_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["collect", "--variant", "medium", "--episodes", "1",

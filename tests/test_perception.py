@@ -14,6 +14,7 @@ from skillsim import (
     statistical_outlier_removal,
     voxel_grid_filter,
 )
+from skillsim import perception
 from skillsim.perception import _knn_mean_distances
 from skillsim.scene import make_scene, make_short_scene
 
@@ -264,6 +265,31 @@ def test_knn_mean_distances_bit_equal_to_blocked_reference():
         for k in (1, 3, 8):
             assert np.array_equal(_knn_mean_distances(pos, k),
                                   knn_mean_distances_blocked_reference(pos, k))
+
+
+@pytest.fixture(scope="module")
+def knn_cell_size_cases():
+    """(points, k, blocked reference) on the long start frames, at SOR's k, and
+    on isolated points, whose neighbors lie many cells away at any cell size."""
+    rng = np.random.default_rng(77)
+    cases = []
+    for seed in range(4):
+        frame = World(make_scene(seed, "long")).render()
+        cases.append((voxel_grid_filter(frame.cloud, 0.01).positions, 8))
+    scattered = rng.uniform(-50, 50, (300, 3))
+    spaced = 1.5 ** np.arange(48)[:, None] * [1.0, -0.5, 0.25] + rng.normal(0, 1e-3, (48, 3))
+    for k in (1, 8):
+        cases += [(scattered, k), (spaced, k)]
+    return [(pos, k, knn_mean_distances_blocked_reference(pos, k)) for pos, k in cases]
+
+
+@pytest.mark.parametrize("cells_per_k", [1, 8, 32, 128, 512])
+def test_knn_mean_distances_bit_equal_at_any_cell_size(monkeypatch, knn_cell_size_cases,
+                                                       cells_per_k):
+    """Exactness does not depend on the first cell size KNN_CELLS_PER_K sets."""
+    monkeypatch.setattr(perception, "KNN_CELLS_PER_K", cells_per_k)
+    for pos, k, expected in knn_cell_size_cases:
+        assert np.array_equal(_knn_mean_distances(pos, k), expected)
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])

@@ -66,6 +66,14 @@ def test_make_scene_dispatch():
         make_scene(0, "medium")
 
 
+@pytest.mark.parametrize("make", [make_short_scene, make_long_scene], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("distractors", [-3, 1.5, True], ids=repr)
+def test_scene_rejects_a_bad_distractor_count_naming_it(make, distractors):
+    with pytest.raises(ValueError, match="^distractors must be an integer >= 0"):
+        make(0, distractors=distractors)
+    assert [o.id for o in make(0, distractors=0).objects] == ["box0"]
+
+
 def test_scene_text_round_trip(tmp_path):
     cfg = make_long_scene(5)
     path = tmp_path / "scene.txt"

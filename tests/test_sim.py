@@ -326,6 +326,15 @@ def test_world_rejects_a_negative_depth_noise_sigma_naming_it():
     World(cfg)
 
 
+@pytest.mark.parametrize("sigma", [-0.01, np.nan, np.inf], ids=repr)
+def test_render_rejects_a_bad_depth_noise_sigma_naming_it(sigma):
+    """The argument passes WorldConfig.validate's check, before any noise is drawn."""
+    world = World(make_short_scene(0))
+    with pytest.raises(ValueError, match="^depth_noise_sigma must be (non-negative|finite)"):
+        world.render(depth_noise_sigma=sigma)
+    assert world.render().depth.tobytes() == World(make_short_scene(0)).render().depth.tobytes()
+
+
 # ----------------------------------------------------------------------
 # golden frames
 
@@ -387,6 +396,40 @@ def ray_aabb_reference(origin, dirs, lo, hi):
     tmax = np.minimum(np.minimum(thi[:, 0], thi[:, 1]), thi[:, 2])
     hit = (tmax >= tmin) & (tmax > 0.0)
     return np.where(hit, np.maximum(tmin, 0.0), np.inf)
+
+
+BOX_LO, BOX_HI = np.array([-0.5, 0.25, 1.0]), np.array([0.75, 1.5, 2.0])
+ORIGINS = {
+    "outside": np.array([-2.0, 0.5, 0.0]),
+    "inside": np.array([0.0, 1.0, 1.5]),
+    "on the lo x face": np.array([-0.5, 0.5, 1.25]),
+    "on the hi z face": np.array([0.1, 0.3, 2.0]),
+    "on the plane of a face, outside": np.array([-0.5, 3.0, -1.0]),
+    "on an edge": np.array([0.75, 0.25, 1.2]),
+}
+
+
+@pytest.mark.parametrize("where", sorted(ORIGINS))
+def test_ray_aabb_on_planes_bit_equal_to_reference(where):
+    """Direction components of +0.0 and -0.0 and origins on a face plane give
+    0 * inf slab products and signed-zero bounds; the plane layout, on the
+    whole grid and on a window of it, still returns the reference's bits.
+    A ray has a direction, so no ray is zero on all three axes (the
+    reference's clamp would turn such a ray's inf bounds into a hit)."""
+    origin = ORIGINS[where]
+    rng = np.random.default_rng(sorted(ORIGINS).index(where))
+    dirs = rng.uniform(-1.0, 1.0, (9, 11, 3))
+    zero = rng.random(dirs.shape) < 0.3
+    dirs[zero] = rng.choice([0.0, -0.0], zero.sum())
+    dirs[(dirs == 0.0).all(axis=-1), 2] = 1.0
+    assert np.any((dirs == 0.0) & np.signbit(dirs)) and np.any((dirs == 0.0) & ~np.signbit(dirs))
+    expected = ray_aabb_reference(origin, dirs.reshape(-1, 3), BOX_LO, BOX_HI).reshape(9, 11)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.ascontiguousarray((1.0 / dirs).transpose(2, 0, 1))
+        whole = sim._ray_aabb(origin, inv, BOX_LO, BOX_HI)
+        window = sim._ray_aabb(origin, inv[:, 2:7, 3:10], BOX_LO, BOX_HI)
+    assert whole.shape == (9, 11) and whole.tobytes() == expected.tobytes()
+    assert window.tobytes() == expected[2:7, 3:10].tobytes()
 
 
 def render_reference(world, depth_noise_sigma=None):
