@@ -1,5 +1,7 @@
 """Rollout report contracts, determinism, and policy immutability."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,41 @@ def test_frame_sink_that_overwrites_rgb_gives_the_reports_of_a_fresh_bundle():
     assert overwritten == rollout(untrained_bundle(), scenario, max_steps=12,
                                   frame_sink=overwrite_odd)
     assert overwritten != plain
+
+
+# ----------------------------------------------------------------------
+# golden closed-loop rollouts
+
+
+def golden_rollouts(variant, d_state, seeds, max_steps):
+    """sha256 of reports_to_csv, and sha256 over every frame's rgb and disparity
+    bytes, for untrained policies rolled out on held-out scenes."""
+    frames = hashlib.sha256()
+
+    def sink_for(label):
+        def sink(t, frame):
+            frames.update(frame.rgb.tobytes())
+            frames.update(frame.disparity.tobytes())
+        return sink
+
+    scenarios = [Scenario(f"heldout_{s}", make_scene(s, variant), variant) for s in seeds]
+    reports, _ = evaluate_suite(untrained_bundle(d_state=d_state), scenarios, max_steps,
+                                sink_for)
+    return hashlib.sha256(reports_to_csv(reports).encode()).hexdigest(), frames.hexdigest()
+
+
+@pytest.mark.parametrize("variant, d_state, seeds, max_steps, digests", [
+    ("short", 5, (5000, 5001, 5002), 60,
+     ("4092d044dda905f35d2aa22dcd351ba3b6a61dd8a9d0876b695adc8be00d1469",
+      "590b12e3251f8a9739177d00d38b76284808b11576d5ccdda5e52300e5756b84")),
+    ("long", 7, (5003,), 40,
+     ("a5198d225eb410d224c2f79c375f69ae7df2d76e31a3cbbcc6d31422f3625585",
+      "c135042b1a5dd95a4fb149854b1880e8ec652070a31e7d68faae40de3dd3202c")),
+])
+def test_closed_loop_rollouts_golden(variant, d_state, seeds, max_steps, digests):
+    """Pins the CSV and every frame of closed-loop rollouts across commits: any
+    change to rendering, depth noise, the policy step or the rollout loop
+    shows here. The short scenes hold the camera still; the long one drives
+    the base, so its frames come from new poses. Digests are for numpy 2.4
+    with OpenBLAS on x86-64."""
+    assert golden_rollouts(variant, d_state, seeds, max_steps) == digests
