@@ -63,7 +63,8 @@ def _hash_tree(root) -> dict:
 
 
 def write_run_manifest(path, command: str, args: dict, runcfg: RunConfig,
-                       inputs: dict) -> None:
+                       inputs: dict, **facts) -> None:
+    """The run's manifest; `facts` are further keys recording what the run did."""
     manifest = {
         "tool": "skillsim",
         "tool_version": __version__,
@@ -71,6 +72,7 @@ def write_run_manifest(path, command: str, args: dict, runcfg: RunConfig,
         "args": args,
         "config": runcfg.describe(),
         "inputs": inputs,
+        **facts,
     }
     FsPath(path).write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
@@ -219,6 +221,8 @@ def cmd_eval(args, runcfg: RunConfig) -> int:
         {"models": str(args.models), "dataset": str(args.dataset or ""),
          "scenes": [str(s) for s in (args.scene or [])]},
         runcfg, inputs=inputs,
+        stop_reasons=[{"scenario": r.scenario, "seed": r.seed, "stop_reason": r.stop_reason}
+                      for r in reports],
     )
     for report in reports:
         print(report.csv_row())

@@ -34,7 +34,7 @@ REGISTRY = {
     "expert.lift_height_m": (_E.lift_height_m, bounded(finite_float, 0.0), "lift height after grasping (m)"),
     "expert.locate_noise_sigma": (_E.locate_noise_sigma, finite_float, "short-variant localization noise std (m)"),
     "expert.yaw_jitter_rad": (_E.yaw_jitter_rad, finite_float, "approach bearing jitter amplitude (rad), 0 disables"),
-    "expert.max_ticks": (_E.max_ticks, bounded(int, 0), "expert tick budget"),
+    "expert.max_ticks": (_E.max_ticks, bounded(int, -1), "expert tick budget"),
     "learner.epochs": (_T.epochs, bounded(int, 0), "predictor training epochs"),
     "learner.ae_epochs": (_T.ae_epochs, bounded(int, 0), "autoencoder training epochs"),
     "learner.batch": (_T.batch, bounded(int, 0), "autoencoder minibatch size"),

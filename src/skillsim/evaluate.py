@@ -4,7 +4,8 @@ Each tick renders a frame, encodes it, runs the recurrent predictor one step,
 denormalizes the predicted next state, and applies it as the joint position
 target (plus the base command for the long variant). Reports per scenario:
 whether the target was touched/grasped, ticks to first touch, final distance
-from the gripper tip to the object, and the steps executed.
+from the gripper tip to the object, the steps executed and why the rollout
+stopped (one of STOP_REASONS; not a CSV column).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ WORKSPACE_XY = 6.0
 WORKSPACE_Z = (-0.5, 3.0)
 
 CSV_HEADER = "scenario,seed,touched,grasped,ticks_to_touch,final_tip_distance_m,steps"
+STOP_REASONS = ("grasped", "non_finite_prediction", "workspace_exit", "step_budget")
 
 
 @dataclass
@@ -44,6 +46,7 @@ class RolloutReport:
     ticks_to_touch: int | None
     final_tip_distance: float
     steps_executed: int
+    stop_reason: str
 
     def csv_row(self) -> str:
         ticks = "" if self.ticks_to_touch is None else str(self.ticks_to_touch)
@@ -56,9 +59,11 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
             frame_sink=None) -> RolloutReport:
     """Run the policy closed loop on one scenario until grasp, divergence, or max_steps.
 
-    A non-finite prediction ends the scenario before it is applied. A
-    scenario whose config has no target raises ValueError naming its label
-    before the first tick.
+    A non-finite prediction ends the scenario before it is applied. The
+    report's stop_reason says which of these ended it: "grasped",
+    "non_finite_prediction", "workspace_exit" (the tip left the workspace)
+    or "step_budget" (max_steps ran out). A scenario whose config has no
+    target raises ValueError naming its label before the first tick.
     frame_sink, when given, receives (tick, SensorFrame) for every rendered
     frame; useful for dumping rollouts to disk.
     """
@@ -77,6 +82,7 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
     touched_tick = None
     grasped = False
     steps = 0
+    reason = "step_budget"
     for t in range(max_steps):
         frame = world.render()
         if frame_sink is not None:
@@ -86,6 +92,7 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
                                          hidden)
         pred = denormalize_state(pred_norm, bundle.stats)
         if not np.isfinite(pred).all():
+            reason = "non_finite_prediction"
             break
         state[JOINTS:] = pred[JOINTS:]
         world.step(BaseCommand(*state[JOINTS:].tolist()), pred[:JOINTS])
@@ -96,9 +103,11 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
             grasped = True
         tip = world.gripper_tip()
         if touched_tick is not None and grasped:
+            reason = "grasped"
             break
         if (abs(tip[0]) > WORKSPACE_XY or abs(tip[1]) > WORKSPACE_XY
                 or not WORKSPACE_Z[0] <= tip[2] <= WORKSPACE_Z[1]):
+            reason = "workspace_exit"
             break
 
     tip = world.gripper_tip()
@@ -111,6 +120,7 @@ def rollout(bundle: PolicyBundle, scenario: Scenario, max_steps: int = MAX_STEPS
         ticks_to_touch=touched_tick,
         final_tip_distance=float(np.linalg.norm(tip - target_center)),
         steps_executed=steps,
+        stop_reason=reason,
     )
 
 

@@ -9,6 +9,7 @@ against axis-aligned boxes. Everything is kinematic and seed-deterministic.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -298,18 +299,31 @@ class World:
         self._attach_offset = None
         self._rng = np.random.default_rng(config.rng_seed)
         self._pixel_dirs = self._make_pixel_dirs(config.camera)
-        # the hit cache of `_cast`: (pose bytes, dirs, 1 / dirs planes) of the
-        # last cast, one (corner bytes, window, t or None) per box, and
-        # (tables, frame arrays)
+        # the render cache of `_cast`, keyed on raw inputs: (pose key, origin,
+        # rotation, dirs, 1 / dirs planes) of the last pose, one (box key,
+        # window, t or None) per box, and (frame key, cast arrays)
         self._view = None
         self._hits = []
         self._frame = None
+        self._tip = None   # (joints and base bytes, tip) of the last fk
 
     # ------------------------------------------------------------------
     # kinematics helpers
 
     def gripper_tip(self) -> np.ndarray:
-        return kinematics.fk(self.state.joints, self.state.base)
+        """The gripper tip in world coordinates, as a new array.
+
+        The last `kinematics.fk` result is kept, keyed on the bytes of
+        `state.joints` and `state.base`. fk reads nothing else, so at equal
+        bytes the kept tip has the bits a new call would give, and the
+        attach check, `touching()` and a caller share one fk per state. An
+        in-place write to either array changes its bytes and misses.
+        """
+        joints, base = self.state.joints, self.state.base
+        key = (joints.tobytes(), base.tobytes())
+        if self._tip is None or self._tip[0] != key:
+            self._tip = (key, kinematics.fk(joints, base))
+        return self._tip[1].copy()
 
     def target_object(self) -> ObjectSpec:
         if self.config.target_id is None:
@@ -431,47 +445,62 @@ class World:
                 return HIT_OBJECT_BASE + i
         raise KeyError(object_id)
 
-    def _cast(self, origin: np.ndarray, rot: np.ndarray, lohi: np.ndarray,
-              colors: np.ndarray, hids: tuple) -> tuple:
-        """The noiseless part of a frame: (dirs, depth, idx, table, rgb, hit_ids).
+    def _cast(self) -> tuple:
+        """The noiseless part of a frame: (origin, dirs, depth, idx, table, rgb,
+        hit_ids), for the current state and config.
 
-        `lohi` (B, 2, 3) holds the boxes' corners, `colors` (B, 3) and `hids`
-        their colors and hit ids, from which a [sky] + boxes table gives each
-        pixel its color and hit id. `table` is the float color table; the
-        other arrays are flat, one entry per pixel, and idx is the pixel's
-        row of `table`, from which the cloud gathers the colors it keeps.
+        From the boxes of `_render_boxes`, a [sky] + boxes color table gives
+        each pixel its color and hit id. `table` is the float color table;
+        the other arrays but `origin` are flat, one entry per pixel, and idx
+        is the pixel's row of `table`, from which the cloud gathers the
+        colors it keeps.
 
-        The view of a pose is its ray directions `dirs` (N, 3) and their
-        reciprocals as (3, H, W) planes, one per axis; it is kept until the
-        pose changes. Each box is cast only over its pixel window (see
-        `_windows`), on the window's slice of those planes. Its window and
-        the entry distance t of each ray in it are kept, keyed on the bytes
-        of the camera pose and of the box's corners (-0.0 and 0.0 differ).
-        They depend on nothing else, so at the pose of the last cast only a
-        stale box is cast again: one whose corners changed, or one past the
-        boxes that cast had. A new pose casts every box. The kept t are then
-        composited on (H, W) planes in box order with a strict `t < best`,
-        which picks the nearest box, ties going to the first, exactly as one
-        cast of every box would; pixels outside every window keep t = inf.
-        Each pixel's color and hit id are gathered from the tables, which
-        copies their values bit for bit, so a recolor casts nothing. With no
-        stale box and equal tables the last frame's arrays are returned. They
-        are read-only, since render() hands them to every frame of the same
-        view. Before anything is cast, the pose, corners and colors are
-        checked to be finite. Only finite values are kept, so one that is not
-        finite never matches them: it always raises ValueError.
+        Everything is keyed on the raw inputs the frame is derived from, as
+        bytes (-0.0 and 0.0 differ): the pose on `state.base` and the
+        camera's height_m and pitch_rad; each box on its center and half
+        extents (each object's center from `object_centers`, the table's
+        center and size); the frame on the pose, the number of objects, every
+        box and every object color. The frame is a deterministic function of
+        these (and of the camera intrinsics fixed at World()), so a kept
+        value is exact where its key matches. At an unchanged frame key the
+        last arrays are returned and nothing is derived. They are read-only,
+        since render() hands them to every frame of the same inputs.
+
+        Otherwise the camera pose, box corners and colors are derived and
+        checked to be finite before anything is cast. Only keys that passed
+        that check are kept, so an input that is not finite never matches
+        them: it always raises ValueError. The view of a pose is its origin,
+        rotation, ray directions `dirs` (N, 3) and their reciprocals as
+        (3, H, W) planes, one per axis; it is kept until the pose key
+        changes. Each box is cast only over its pixel window (see
+        `_windows`), on the window's slice of those planes, and its window
+        and the entry distance t of each ray in it are kept under its box
+        key. At the pose of the last cast only a stale box is cast again:
+        one whose key changed, or one past the boxes that cast had. A new
+        pose casts every box. The kept t are then composited on (H, W)
+        planes in box order with a strict `t < best`, which picks the
+        nearest box, ties going to the first, exactly as one cast of every
+        box would; pixels outside every window keep t = inf. Each pixel's
+        color and hit id are gathered from the tables, which copies their
+        values bit for bit, so a recolor casts nothing.
         """
-        cam = self.config.camera
+        cfg, cam = self.config, self.config.camera
         h, w = cam.height, cam.width
-        pose = origin.tobytes() + rot.tobytes()
-        same_pose = self._view is not None and self._view[0] == pose
-        kept = self._hits if same_pose else []
-        keys = [box.tobytes() for box in lohi]
-        hits = kept[:len(keys)] + [None] * (len(keys) - len(kept))
-        stale = [j for j, key in enumerate(keys) if hits[j] is None or hits[j][0] != key]
-        tables = (colors.tobytes(), hids)
-        if not stale and self._frame[0] == tables:
+        pose = self.state.base.tobytes() + struct.pack("<2d", cam.height_m, cam.pitch_rad)
+        keys = [b"", cfg.table_center.tobytes() + cfg.table_size.tobytes()]
+        keys += [self.object_centers[obj.id].tobytes() + obj.half_extents.tobytes()
+                 for obj in cfg.objects]
+        keys += [box.center.tobytes() + box.half_extents.tobytes()
+                 for box in cfg.obstacle_boxes]
+        frame_key = (pose, len(cfg.objects), keys,
+                     b"".join(obj.color.tobytes() for obj in cfg.objects))
+        if self._frame is not None and self._frame[0] == frame_key:
             return self._frame[1]
+        same_pose = self._view is not None and self._view[0] == pose
+        origin, rot = self._view[1:3] if same_pose else self.camera_pose()
+        boxes = self._render_boxes()
+        lohi = np.array([(lo, hi) for lo, hi, _, _ in boxes])
+        colors = np.array([color for _, _, color, _ in boxes], dtype=float)
         if not np.isfinite(np.concatenate([origin, rot.ravel(), lohi.ravel(),
                                            colors.ravel()])).all():
             raise ValueError("camera pose and box corners must be finite to render")
@@ -480,8 +509,11 @@ class World:
             inv = np.empty((3, h, w))
             with np.errstate(divide="ignore"):
                 np.divide(1.0, dirs.T.reshape(3, h, w), out=inv)
-            self._view = (pose, dirs, inv)
-        _, dirs, inv = self._view
+            self._view = (pose, origin, rot, dirs, inv)
+        _, _, _, dirs, inv = self._view
+        kept = self._hits if same_pose else []
+        hits = kept[:len(keys)] + [None] * (len(keys) - len(kept))
+        stale = [j for j, key in enumerate(keys) if hits[j] is None or hits[j][0] != key]
         with np.errstate(invalid="ignore"):
             for j, window in zip(stale, self._windows(origin, rot, lohi[stale])):
                 r0, r1, c0, c1 = window
@@ -502,12 +534,13 @@ class World:
         # take() copies the same table rows as fancy indexing, in a third of the time
         table = np.concatenate([[SKY_COLOR], colors])
         rgb = np.rint(table * 255.0).astype(np.uint8).take(idx, axis=0)
-        hit_ids = np.array((HIT_NONE,) + hids, dtype=np.int32).take(idx)
+        hids = (HIT_NONE,) + tuple(hid for *_, hid in boxes)
+        hit_ids = np.array(hids, dtype=np.int32).take(idx)
         depth = np.where(np.isfinite(t_best), t_best, 0.0)
-        cast = (dirs, depth, idx, table, rgb, hit_ids)
+        cast = (origin, dirs, depth, idx, table, rgb, hit_ids)
         for a in cast:
             a.flags.writeable = False
-        self._frame = (tables, cast)
+        self._frame = (frame_key, cast)
         return cast
 
     def _windows(self, origin: np.ndarray, rot: np.ndarray, lohi: np.ndarray) -> list:
@@ -542,9 +575,11 @@ class World:
         applied before disparity and cloud derivation so the disparity-depth
         identity holds on the values actually reported; the noise is drawn on
         every frame, so the RNG stream does not depend on what was reused.
-        Only the boxes that moved since the last frame at the same camera
-        pose are cast again (see `_cast`). A pose or box that is not finite
-        raises ValueError instead of a cast, and so does a depth_noise_sigma
+        The noiseless cast is kept, keyed on the raw inputs it is derived
+        from (see `_cast`): at unchanged inputs only the noise is drawn, and
+        only the boxes that moved since the last frame at the same camera
+        pose are cast again. A pose or box that is not finite raises
+        ValueError instead of a cast, and so does a depth_noise_sigma
         argument that WorldConfig.validate would reject.
         The frame's arrays are its own, and the cloud is built on first access.
         """
@@ -552,21 +587,16 @@ class World:
             _check_depth_noise_sigma(depth_noise_sigma)
         cam = self.config.camera
         sigma = self.config.depth_noise_sigma if depth_noise_sigma is None else depth_noise_sigma
-        origin, rot = self.camera_pose()
-        boxes = self._render_boxes()
-        lohi = np.array([(lo, hi) for lo, hi, _, _ in boxes])
-        colors = np.array([color for _, _, color, _ in boxes], dtype=float)
-        hids = tuple(hid for *_, hid in boxes)
-        dirs, depth, idx, table, rgb, hit_ids = self._cast(origin, rot, lohi, colors, hids)
+        origin, dirs, depth, idx, table, rgb, hit_ids = self._cast()
 
+        # where= leaves masked-out lanes at out's +0.0, as np.where(..., 0.0)
+        # did, and forms no quotient of a zero depth
         if sigma > 0.0:
             noise = self._rng.normal(0.0, sigma, size=dirs.shape[0])
-            depth = np.where(depth > 0.0, depth + noise, 0.0)
+            depth = np.add(depth, noise, out=np.zeros_like(depth), where=depth > 0.0)
         depth32 = depth.astype(np.float32)
-
         fb = np.float32(cam.focal_px * cam.baseline_m)
-        with np.errstate(divide="ignore"):
-            disparity = np.where(depth32 > 0.0, fb / depth32, np.float32(0.0))
+        disparity = np.divide(fb, depth32, out=np.zeros_like(depth32), where=depth32 > 0.0)
 
         def make_cloud() -> PointCloud:
             # from `depth`, never written by a caller, not from the frame's depth32

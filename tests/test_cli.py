@@ -416,3 +416,27 @@ def test_eval_scene_without_target_one_line_error_naming_it(mini_pipeline, tmp_p
     err = one_line_error(capsys, ["eval", "--models", str(models), "--scene", str(path),
                                   "--out", str(tmp_path / "eval.csv")], "scenario untargeted")
     assert err == "error: scenario untargeted: no target object designated"
+
+
+def test_eval_manifest_records_why_each_scenario_stopped(mini_pipeline, tmp_path):
+    _, data, models = mini_pipeline
+    far = make_short_scene(0)
+    far.robot_start = np.array([6.5, 0.0, 0.0])   # the tip starts outside the workspace
+    save_scene(tmp_path / "far.txt", far)
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--models", str(models), "--dataset", str(data),
+                 "--scene", str(tmp_path / "far.txt"), "--out", str(out),
+                 "--set", "eval.max_steps=3"]) == 0
+    manifest = json.loads((tmp_path / "eval.manifest.json").read_text())
+    assert manifest["stop_reasons"] == [
+        {"scenario": f"ep_{i:05d}", "seed": i, "stop_reason": "step_budget"} for i in range(4)
+    ] + [{"scenario": "far", "seed": 0, "stop_reason": "workspace_exit"}]
+    assert "stop_reason" not in out.read_text()
+
+
+def test_collect_with_a_zero_tick_budget_records_a_failed_episode(tmp_path, capsys):
+    """expert.max_ticks=0 parses, as ExpertParams(max_ticks=0) validates."""
+    assert main(["collect", "--variant", "short", "--episodes", "1", "--out",
+                 str(tmp_path / "d"), "--set", "expert.max_ticks=0"]) == 1
+    out = capsys.readouterr().out
+    assert "ep_00000 seed=0 outcome=FAILED steps=0 (tick budget exceeded)" in out

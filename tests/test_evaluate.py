@@ -5,8 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from skillsim import sim
-from skillsim.dataset import DatasetError, NormStats
+from skillsim import kinematics, sim
+from skillsim.dataset import DatasetError, NormStats, normalize_state
 from skillsim.evaluate import Scenario, evaluate_suite, reports_to_csv, rollout
 from skillsim.models import Autoencoder, PolicyBundle, Predictor
 from skillsim.scene import make_long_scene, make_scene, make_short_scene
@@ -144,6 +144,60 @@ def test_frame_sink_that_overwrites_rgb_gives_the_reports_of_a_fresh_bundle():
     assert overwritten == rollout(untrained_bundle(), scenario, max_steps=12,
                                   frame_sink=overwrite_odd)
     assert overwritten != plain
+
+
+# ----------------------------------------------------------------------
+# why a rollout stopped
+
+
+def test_rollout_that_runs_out_of_steps_stops_on_the_step_budget():
+    report = rollout(untrained_bundle(), Scenario("s0", make_short_scene(0), "short"),
+                     max_steps=6)
+    assert (report.steps_executed, report.stop_reason) == (6, "step_budget")
+
+
+def test_rollout_stops_on_a_non_finite_prediction():
+    bundle = untrained_bundle()
+    bundle.predictor.readout.b.value[0] = np.nan
+    report = rollout(bundle, Scenario("nan", make_short_scene(0), "short"), max_steps=6)
+    assert (report.steps_executed, report.stop_reason) == (0, "non_finite_prediction")
+
+
+def test_rollout_stops_when_the_tip_leaves_the_workspace():
+    cfg = make_short_scene(0)
+    cfg.robot_start = np.array([6.5, 0.0, 0.0])   # the tip starts past WORKSPACE_XY
+    report = rollout(untrained_bundle(), Scenario("far", cfg, "short"), max_steps=6)
+    assert (report.steps_executed, report.stop_reason) == (1, "workspace_exit")
+
+
+def test_rollout_stops_once_the_target_is_grasped():
+    """A policy that always predicts the start joints with the gripper shut, on
+    a scene whose target sits at the start tip, closes on it and grasps it."""
+    cfg = make_short_scene(0)
+    cfg.object(cfg.target_id).center = kinematics.fk(cfg.robot_joints, cfg.robot_start)
+    bundle = untrained_bundle()
+    shut = cfg.robot_joints.copy()
+    shut[4] = 0.0
+    bundle.predictor.readout.W.value[...] = 0.0
+    bundle.predictor.readout.b.value[...] = normalize_state(shut, bundle.stats)
+    report = rollout(bundle, Scenario("grasp", cfg, "short"), max_steps=20)
+    assert report.touched and report.grasped
+    assert report.stop_reason == "grasped" and report.steps_executed < 20
+
+
+def test_rollout_runs_forward_kinematics_once_per_tick(monkeypatch):
+    calls = []
+    fk = kinematics.fk
+
+    def spy(joints, base):
+        calls.append(1)
+        return fk(joints, base)
+
+    monkeypatch.setattr(kinematics, "fk", spy)
+    report = rollout(untrained_bundle(), Scenario("s0", make_short_scene(0), "short"),
+                     max_steps=12)
+    assert report.steps_executed == 12
+    assert len(calls) == 12
 
 
 # ----------------------------------------------------------------------

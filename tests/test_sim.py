@@ -710,3 +710,129 @@ def test_render_casts_only_the_boxes_that_moved(monkeypatch):
     assert len(calls) == len(expected) == 5
     for (lo, hi), box in zip(calls, expected):
         assert np.array_equal(lo, box[0]) and np.array_equal(hi, box[1])
+
+
+# ----------------------------------------------------------------------
+# the render cache's key: the raw inputs of a frame, as bytes
+
+
+def scene_with_obstacle_in_view():
+    """Short scene 0 in lockstep, with an obstacle box appended in view."""
+    cfg = make_short_scene(0)
+    run = Lockstep(cfg)
+    cfg.obstacle_boxes.append(sim.Box(view_point(run.world, 12, 44, 1.0), np.full(3, 0.06)))
+    return cfg, run
+
+
+def write_in_place(run, name):
+    """Writes one raw input of the frame in place, in both worlds of `run`."""
+    cfg, worlds = run.world.config, (run.world, run.ref)
+    obj = cfg.object(cfg.target_id)
+    if name == "state.base":
+        for w in worlds:
+            w.state.base[2] += 0.05
+    elif name == "object center":
+        for w in worlds:
+            w.object_centers[obj.id][1] += 0.02
+    elif name == "object half_extents":
+        obj.half_extents[2] += 0.02
+    elif name == "object color":
+        obj.color[1] = 1.0 - obj.color[1]
+    elif name == "table_size":
+        cfg.table_size[0] += 0.2
+    elif name == "obstacle half_extents":
+        cfg.obstacle_boxes[0].half_extents[0] += 0.04
+    elif name == "camera.height_m":
+        cfg.camera.height_m += 0.05
+    else:
+        assert name == "camera.pitch_rad"
+        cfg.camera.pitch_rad += 0.03
+
+
+RAW_INPUTS = ["state.base", "object center", "object half_extents", "object color",
+              "table_size", "obstacle half_extents", "camera.height_m", "camera.pitch_rad"]
+
+
+def noiseless_bytes(frame):
+    return frame.rgb.tobytes() + frame.depth.tobytes() + frame.hit_ids.tobytes()
+
+
+def test_render_key_sees_every_raw_input_written_in_place():
+    """Each write changes the noiseless frame, so a key that missed any input
+    would hand back the kept cast and differ from the reference."""
+    cfg, run = scene_with_obstacle_in_view()
+    before = run.render(0.0)
+    assert np.any(before.hit_ids == sim.HIT_OBSTACLE_BASE)
+    assert np.any(before.hit_ids == run.world.hit_id(cfg.target_id))
+    for name in RAW_INPUTS:
+        run.render()
+        write_in_place(run, name)
+        frame = run.render(0.0)
+        assert noiseless_bytes(frame) != noiseless_bytes(before), name
+        run.render()                        # unchanged inputs: the cast is kept
+        before = frame
+
+
+@pytest.mark.parametrize("name", RAW_INPUTS)
+def test_render_raises_on_a_nan_written_after_a_kept_frame(name):
+    cfg, run = scene_with_obstacle_in_view()
+    world = run.world
+    world.render()
+    world.render()
+    target = {"state.base": world.state.base,
+              "object center": world.object_centers[cfg.target_id],
+              "object half_extents": cfg.object(cfg.target_id).half_extents,
+              "object color": cfg.object(cfg.target_id).color,
+              "table_size": cfg.table_size,
+              "obstacle half_extents": cfg.obstacle_boxes[0].half_extents}
+    if name.startswith("camera."):
+        setattr(cfg.camera, name[len("camera."):], np.nan)
+    else:
+        target[name][0] = np.nan
+    for _ in range(2):                      # a failed frame keeps no key
+        with pytest.raises(ValueError, match="must be finite to render"):
+            world.render()
+
+
+@pytest.mark.parametrize("change", ["append an object", "drop an obstacle",
+                                    "an object in the dropped obstacle's place"])
+def test_render_misses_when_the_box_count_changes(change):
+    cfg, run = scene_with_obstacle_in_view()
+    before = run.render(0.0)
+    run.render()
+    if change != "append an object":
+        dropped = cfg.obstacle_boxes.pop()
+    if change != "drop an obstacle":
+        center, half = ((dropped.center, dropped.half_extents) if change.startswith("an object")
+                        else (view_point(run.world, 50, 40, 1.0), np.full(3, 0.05)))
+        cfg.objects.append(ObjectSpec("added", center.copy(), half.copy(),
+                                      np.array([0.2, 0.9, 0.9])))
+        for w in (run.world, run.ref):
+            w.object_centers["added"] = center.copy()
+    frame = run.render(0.0)
+    assert noiseless_bytes(frame) != noiseless_bytes(before)
+    run.render()
+
+
+# ----------------------------------------------------------------------
+# the gripper tip's key: the bytes of the joints and the base
+
+
+def test_gripper_tip_equals_fk_after_in_place_writes():
+    world = World(make_short_scene(0))
+    for name, i, value in (("joints", 1, 0.3), ("joints", 0, 0.2), ("base", 2, -0.3),
+                           ("base", 0, 0.5), ("base", 1, -0.0)):
+        world.gripper_tip()
+        getattr(world.state, name)[i] = value
+        expected = fk(world.state.joints, world.state.base)
+        assert world.gripper_tip().tobytes() == expected.tobytes()
+        assert world.gripper_tip().tobytes() == expected.tobytes()
+
+
+def test_writing_into_a_returned_tip_leaves_the_next_one_unchanged():
+    world = World(make_short_scene(0))
+    tip = world.gripper_tip()
+    expected = tip.copy()
+    tip[:] = np.nan
+    assert world.gripper_tip().tobytes() == expected.tobytes()
+    assert world.touching() == World(make_short_scene(0)).touching()
