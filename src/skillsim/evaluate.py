@@ -5,7 +5,7 @@ denormalizes the predicted next state, and applies it as the joint position
 target (plus the base command for the long variant). Reports per scenario:
 whether the target was touched/grasped, ticks to first touch, final distance
 from the gripper tip to the object, the steps executed and why the rollout
-stopped (one of STOP_REASONS; not a CSV column).
+stopped (see `rollout`; the CSV has no column for it).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ WORKSPACE_XY = 6.0
 WORKSPACE_Z = (-0.5, 3.0)
 
 CSV_HEADER = "scenario,seed,touched,grasped,ticks_to_touch,final_tip_distance_m,steps"
-STOP_REASONS = ("grasped", "non_finite_prediction", "workspace_exit", "step_budget")
 
 
 @dataclass
