@@ -4,48 +4,59 @@ unknown keys are rejected so manifests describe runs completely."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 
+from .checks import count, positive, positive_int
 from .evaluate import MAX_STEPS
 from .expert import ExpertParams
 from .perception import PerceptionParams
-from .scene import (DISTRACTORS, LONG_OBJECT_HALF_EXTENT, SHORT_OBJECT_HALF_EXTENT, bounded,
-                    finite_float)
-from .sim import DEPTH_NOISE_SIGMA
+from .scene import DISTRACTORS, LONG_OBJECT_HALF_EXTENT, SHORT_OBJECT_HALF_EXTENT
+from .sim import WorldConfig
 from .training import TrainConfig
 
 
-# every default lives in the module that uses it; REGISTRY only reads it
-_E, _P, _T = ExpertParams(), PerceptionParams(), TrainConfig()
+def _from_fields(section: str, cls, help_text: dict) -> dict:
+    """A `section.<name>` entry per `help_text` name, with the default and parser of cls's field."""
+    declared = {f.name: f for f in fields(cls)}
+    return {f"{section}.{name}": (declared[name].default, declared[name].metadata["parse"], text)
+            for name, text in help_text.items()}
 
-# key -> (default, parser, help)
+
+# key -> (default, parser, help); every default lives in the module that uses it
 REGISTRY = {
-    "scene.distractors": (DISTRACTORS, bounded(int, -1), "extra boxes per scene"),
-    "scene.short_object_half_extent": (SHORT_OBJECT_HALF_EXTENT, bounded(finite_float, 0.0), "short-variant object half extent (m)"),
-    "scene.long_object_half_extent": (LONG_OBJECT_HALF_EXTENT, bounded(finite_float, 0.0), "long-variant object half extent (m)"),
-    "sim.depth_noise_sigma": (DEPTH_NOISE_SIGMA, finite_float, "depth noise std (m), 0 disables"),
-    "perception.leaf": (_P.leaf, bounded(finite_float, 0.0), "voxel edge length (m)"),
-    "perception.k_neighbors": (_P.k_neighbors, bounded(int, 0), "outlier filter neighbor count"),
-    "perception.alpha": (_P.alpha, finite_float, "outlier filter stddev multiplier"),
-    "perception.color_threshold": (_P.color_threshold, bounded(finite_float, 0.0), "RGB segmentation distance"),
-    "expert.standoff_m": (_E.standoff_m, bounded(finite_float, 0.0), "navigation standoff from the object (m)"),
-    "expert.pregrasp_offset_m": (_E.pregrasp_offset_m, bounded(finite_float, 0.0), "pre-grasp height above the object (m)"),
-    "expert.lift_height_m": (_E.lift_height_m, bounded(finite_float, 0.0), "lift height after grasping (m)"),
-    "expert.locate_noise_sigma": (_E.locate_noise_sigma, finite_float, "short-variant localization noise std (m)"),
-    "expert.yaw_jitter_rad": (_E.yaw_jitter_rad, finite_float, "approach bearing jitter amplitude (rad), 0 disables"),
-    "expert.max_ticks": (_E.max_ticks, bounded(int, -1), "expert tick budget"),
-    "learner.epochs": (_T.epochs, bounded(int, 0), "predictor training epochs"),
-    "learner.ae_epochs": (_T.ae_epochs, bounded(int, 0), "autoencoder training epochs"),
-    "learner.batch": (_T.batch, bounded(int, 0), "autoencoder minibatch size"),
-    "learner.lr": (_T.lr, bounded(finite_float, 0.0), "Adam learning rate"),
-    "learner.grad_clip": (_T.grad_clip, bounded(finite_float, 0.0), "gradient L2 clip"),
-    "learner.tbptt": (_T.tbptt, bounded(int, 0), "truncated BPTT window"),
-    "learner.downscale": (_T.downscale, bounded(int, 0), "image downscale factor at the learner"),
-    "learner.latent": (_T.latent, bounded(int, 0), "autoencoder latent size"),
-    "learner.hidden": (_T.hidden, bounded(int, 0), "recurrent hidden size"),
-    "learner.frame_stride": (_T.frame_stride, bounded(int, 0), "autoencoder frame subsampling stride"),
-    "eval.max_steps": (MAX_STEPS, bounded(int, 0), "rollout step budget"),
+    "scene.distractors": (DISTRACTORS, count, "extra boxes per scene"),
+    "scene.short_object_half_extent": (SHORT_OBJECT_HALF_EXTENT, positive, "short-variant object half extent (m)"),
+    "scene.long_object_half_extent": (LONG_OBJECT_HALF_EXTENT, positive, "long-variant object half extent (m)"),
+    **_from_fields("sim", WorldConfig, {"depth_noise_sigma": "depth noise std (m), 0 disables"}),
+    **_from_fields("perception", PerceptionParams, {
+        "leaf": "voxel edge length (m)",
+        "k_neighbors": "outlier filter neighbor count",
+        "alpha": "outlier filter stddev multiplier",
+        "color_threshold": "RGB segmentation distance",
+    }),
+    **_from_fields("expert", ExpertParams, {
+        "standoff_m": "navigation standoff from the object (m)",
+        "pregrasp_offset_m": "pre-grasp height above the object (m)",
+        "lift_height_m": "lift height after grasping (m)",
+        "locate_noise_sigma": "short-variant localization noise std (m)",
+        "yaw_jitter_rad": "approach bearing jitter amplitude (rad), 0 disables",
+        "max_ticks": "expert tick budget",
+    }),
+    # TrainConfig.seed is each command's --seed flag, not a config key
+    **_from_fields("learner", TrainConfig, {
+        "epochs": "predictor training epochs",
+        "ae_epochs": "autoencoder training epochs",
+        "batch": "autoencoder minibatch size",
+        "lr": "Adam learning rate",
+        "grad_clip": "gradient L2 clip",
+        "tbptt": "truncated BPTT window",
+        "downscale": "image downscale factor at the learner",
+        "latent": "autoencoder latent size",
+        "hidden": "recurrent hidden size",
+        "frame_stride": "autoencoder frame subsampling stride",
+    }),
+    "eval.max_steps": (MAX_STEPS, positive_int, "rollout step budget"),
 }
 
 
@@ -70,20 +81,15 @@ class RunConfig:
         prefix = section + "."
         return {k[len(prefix):]: v for k, v in self.values.items() if k.startswith(prefix)}
 
+    # each value was parsed by its field's parser, and each consumer validates again
     def perception_params(self) -> PerceptionParams:
-        p = PerceptionParams(**self._section("perception"))
-        p.validate()
-        return p
+        return PerceptionParams(**self._section("perception"))
 
     def expert_params(self) -> ExpertParams:
-        p = ExpertParams(**self._section("expert"), perception=self.perception_params())
-        p.validate()
-        return p
+        return ExpertParams(**self._section("expert"), perception=self.perception_params())
 
     def train_config(self, seed: int = 0) -> TrainConfig:
-        cfg = TrainConfig(**self._section("learner"), seed=seed)
-        cfg.validate()
-        return cfg
+        return TrainConfig(**self._section("learner"), seed=seed)
 
     def scene_kwargs(self, variant: str) -> dict:
         half = (self["scene.short_object_half_extent"] if variant == "short"

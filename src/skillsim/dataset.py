@@ -17,7 +17,8 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .expert import ExpertTranscript
-from .scene import bounded, config_from_dict, config_to_dict, finite_float, one_of, reader, vec
+from .checks import bound, finite_float, one_of, positive, vec
+from .scene import config_from_dict, config_to_dict, reader
 from .sim import BaseCommand, World
 
 SCHEMA_VERSION = 1
@@ -242,9 +243,9 @@ class NormStats:
             state_max=joined("max"),
             state_flags=joined("flags") != 0,
             image_mean=read("image_mean", vec(3)),
-            image_std=read("image_std", bounded(vec(3), 0.0)),
+            image_std=read("image_std", bound(vec(3), ">", 0.0)),
             disp_mean=read("disp_mean", finite_float),
-            disp_std=read("disp_std", bounded(finite_float, 0.0)),
+            disp_std=read("disp_std", positive),
         )
 
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kinematics
+from . import checks, kinematics
+from .checks import count, non_negative, param, positive
 from .kinematics import IkError
 from .nav import OccupancyGrid, PlanningError, astar, follow_path
-from .perception import PerceptionError, PerceptionParams, check_integer, locate_object
-from .sim import ROBOT_RADIUS, BaseCommand, World, WorldConfig, check_finite_floats, wrap_angle
+from .perception import PerceptionError, PerceptionParams, locate_object
+from .sim import ROBOT_RADIUS, BaseCommand, World, WorldConfig, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -53,20 +54,16 @@ class ArmPlan:
 
 @dataclass
 class ExpertParams:
-    standoff_m: float = 0.55
-    pregrasp_offset_m: float = 0.10
-    lift_height_m: float = 0.15
-    locate_noise_sigma: float = 0.005
-    yaw_jitter_rad: float = 0.2
-    max_ticks: int = 3000   # a run that needs more ticks ends FAILED with this many
+    standoff_m: float = param(0.55, positive)
+    pregrasp_offset_m: float = param(0.10, positive)
+    lift_height_m: float = param(0.15, positive)
+    locate_noise_sigma: float = param(0.005, non_negative)
+    yaw_jitter_rad: float = param(0.2, non_negative)
+    max_ticks: int = param(3000, count)  # a run that needs more ticks ends FAILED with this many
     perception: PerceptionParams = field(default_factory=PerceptionParams)
 
     def validate(self):
-        check_finite_floats(self)
-        for name in ("locate_noise_sigma", "yaw_jitter_rad"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        check_integer(self.max_ticks, "max_ticks", 0)
+        checks.validate(self)
         self.perception.validate()
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import nn
 from .dataset import NormStats, state_dim
 from .imaging import block_mean
-from .scene import one_of, reader
+from .checks import one_of
+from .scene import reader
 
 MODEL_MAGIC = b"SKLMODL1"
 MODEL_VERSION = 1

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
+from .checks import bound, check, non_negative, param, positive, positive_int
+
 
 class PerceptionError(ValueError):
     """Localization failure (empty segment, too few points for k-NN)."""
@@ -46,36 +49,13 @@ class PointCloud:
 
 @dataclass
 class PerceptionParams:
-    leaf: float = 0.01
-    k_neighbors: int = 8
-    alpha: float = 1.0
-    color_threshold: float = 0.25
+    leaf: float = param(0.01, positive)
+    k_neighbors: int = param(8, positive_int)
+    alpha: float = param(1.0, non_negative)
+    color_threshold: float = param(0.25, bound(positive, "<=", float(np.sqrt(3.0))))
 
     def validate(self):
-        _check_positive(self.leaf, "leaf")
-        _check_k_alpha(self.k_neighbors, self.alpha, "k_neighbors")
-        if not 0 < self.color_threshold <= np.sqrt(3.0):
-            raise ValueError("color_threshold must be in (0, sqrt(3)]")
-
-
-def _check_positive(value, name: str):
-    """Raise ValueError unless value is finite and positive (NaN and inf are not)."""
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def check_integer(value, name: str, minimum: int):
-    """Raise ValueError naming `name` unless value is an integer (not a bool)
-    and at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _check_k_alpha(k, alpha, k_name: str = "k"):
-    """Raise ValueError unless k is an integer >= 1 (not a bool) and alpha is finite and >= 0."""
-    check_integer(k, k_name, 1)
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
+        checks.validate(self)
 
 
 def voxel_grid_filter(cloud: PointCloud, leaf: float) -> PointCloud:
@@ -85,7 +65,7 @@ def voxel_grid_filter(cloud: PointCloud, leaf: float) -> PointCloud:
     of each cell are averaged in a canonical order so the result is exactly
     invariant to permutations of the input.
     """
-    _check_positive(leaf, "leaf")
+    check("leaf", leaf, positive)
     if len(cloud) == 0:
         return PointCloud.empty()
     pos, col = cloud.positions, cloud.colors
@@ -245,7 +225,8 @@ def statistical_outlier_removal(cloud: PointCloud, k: int, alpha: float) -> Poin
     The standard deviation is the population one over all per-point mean
     distances. Survivors keep their input order.
     """
-    _check_k_alpha(k, alpha)
+    check("k", k, positive_int)
+    check("alpha", alpha, non_negative)
     n = len(cloud)
     if n <= k:
         raise PerceptionError("insufficient points for k-NN")
@@ -256,7 +237,7 @@ def statistical_outlier_removal(cloud: PointCloud, k: int, alpha: float) -> Poin
 
 def color_segment(cloud: PointCloud, target: np.ndarray, threshold: float) -> PointCloud:
     """Keep points whose RGB Euclidean distance to `target` is at most `threshold`."""
-    _check_positive(threshold, "threshold")
+    check("threshold", threshold, positive)
     target = np.asarray(target, dtype=float)
     diff = cloud.colors - target[None, :]
     keep = np.sqrt(np.sum(diff * diff, axis=1)) <= threshold

@@ -13,7 +13,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .perception import check_integer
+from .checks import check, count, parsers, vec
 from .sim import (DEPTH_NOISE_SIGMA, TABLE_CENTER, TABLE_SIZE, Box, CameraIntrinsics,
                   ObjectSpec, WorldConfig)
 
@@ -36,7 +36,7 @@ LONG_OBJECT_HALF_EXTENT = 0.05   # m
 def _place_objects(rng, target_xy, distractors, half_extent):
     """The red target box0 at target_xy, then distractors box1, box2, ...
     elsewhere on the table, clear of the target and the grasp lane."""
-    check_integer(distractors, "distractors", 0)
+    check("distractors", distractors, count)
     names = list(PALETTE)[1:]
     placed = [("box0", *target_xy, PALETTE["red"])]
     for i in range(distractors):
@@ -161,47 +161,6 @@ def config_to_dict(config: WorldConfig) -> dict:
     }
 
 
-def finite_float(value) -> float:
-    x = float(value)
-    if not np.isfinite(x):
-        raise ValueError(f"{value!r} is not finite")
-    return x
-
-
-def integer(value) -> int:
-    """An int, or its decimal text from a scene file; 7.9 and True are not integers."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer, str)):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def vec(n: int):
-    """A parser of exactly `n` finite floats, from a list or space-separated text."""
-    def parse(value) -> np.ndarray:
-        v = np.array([finite_float(x) for x in (value.split() if isinstance(value, str) else value)])
-        if v.shape != (n,):
-            raise ValueError(f"{v.size} values, expected {n}")
-        return v
-    return parse
-
-
-def one_of(*options):
-    def parse(value):  # 1.0 and True are not 1
-        if not any(type(value) is type(o) and value == o for o in options):
-            raise ValueError(f"{value!r} is not one of {options}")
-        return value
-    return parse
-
-
-def bounded(parse, low):
-    def check(value):
-        x = parse(value)
-        if np.any(x <= low):
-            raise ValueError(f"must be > {low}")
-        return x
-    return check
-
-
 def reader(mapping, names, prefix: str):
     """A function reading one key of `mapping`, which may hold only `names`. A missing,
     unknown or unconvertible key raises ValueError naming it: `prefix` + its scene-file key."""
@@ -229,8 +188,8 @@ def config_from_dict(d: dict) -> WorldConfig:
     """Decode config_to_dict's output; any leaf may also be its scene-file text.
     Vectors hold 3 values, joints 5; `reader` names a bad key (`object.box0.color`)."""
     read = reader(d, [f.name for f in fields(WorldConfig)], "")
-    cam_fields = fields(CameraIntrinsics)
-    cam = reader(read("camera"), [f.name for f in cam_fields], "camera.")
+    cam_parsers = parsers(CameraIntrinsics)
+    cam = reader(read("camera"), cam_parsers, "camera.")
     objects = []
     for i, o in enumerate(read("objects", list)):
         name = o.get("id", i) if isinstance(o, dict) else i
@@ -246,12 +205,8 @@ def config_from_dict(d: dict) -> WorldConfig:
         table_size=read("table_size", vec(3)),
         objects=objects,
         obstacle_boxes=boxes,
-        camera=CameraIntrinsics(**{
-            f.name: cam(f.name, finite_float if isinstance(f.default, float) else integer)
-            for f in cam_fields}),
-        rng_seed=read("rng_seed", integer),
-        dt=read("dt", finite_float),
-        depth_noise_sigma=read("depth_noise_sigma", finite_float),
+        camera=CameraIntrinsics(**{name: cam(name, parse) for name, parse in cam_parsers.items()}),
+        **{name: read(name, parse) for name, parse in parsers(WorldConfig).items()},
         robot_start=read("robot_start", vec(3)),
         robot_joints=read("robot_joints", vec(5)),
         target_id=read("target_id", lambda v: None if v is None else str(v), None),

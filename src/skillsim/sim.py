@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kinematics
+from . import checks, kinematics
+from .checks import (bound, check, count, finite_float, non_negative, param, positive, positive_int,
+                     vec)
 from .perception import PointCloud
 
 ROBOT_RADIUS = 0.3
@@ -25,6 +27,8 @@ MIN_COLOR_SEPARATION = 0.3
 TABLE_CENTER = (1.2, 0.0, 0.2)
 TABLE_SIZE = (0.6, 1.2, 0.4)
 DEPTH_NOISE_SIGMA = 0.002   # depth noise std (m)
+_VEC3 = vec(3)
+_EXTENTS = bound(_VEC3, ">", 0.0)  # sizes and half extents of boxes
 
 FLOOR_COLOR = (0.45, 0.45, 0.45)
 TABLE_COLOR = (0.55, 0.36, 0.20)
@@ -42,29 +46,6 @@ _FLOOR_HI = np.array([50.0, 50.0, 0.0])
 # (lo, hi) choice per axis for each of a box's 8 corners
 _CORNER_PICK = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
                 (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
-
-
-def _check_finite(name: str, value) -> None:
-    """Raise ValueError naming `name` unless every entry of value is finite."""
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def check_finite_floats(params, prefix: str = "") -> None:
-    """`_check_finite` on each field of the dataclass `params` whose default is a
-    float, named `prefix` + the field's name."""
-    for f in fields(params):
-        if isinstance(f.default, float):
-            _check_finite(prefix + f.name, getattr(params, f.name))
-
-
-def _check_depth_noise_sigma(sigma) -> None:
-    """Raise ValueError naming depth_noise_sigma unless it is finite and non-negative:
-    render draws noise only for a positive sigma, so a negative one would
-    silently turn the noise off."""
-    _check_finite("depth_noise_sigma", sigma)
-    if sigma < 0:
-        raise ValueError(f"depth_noise_sigma must be non-negative, got {sigma!r}")
 
 
 @dataclass
@@ -96,19 +77,12 @@ class Box:
 
 @dataclass
 class CameraIntrinsics:
-    width: int = 64
-    height: int = 64
-    focal_px: float = 60.0
-    baseline_m: float = 0.08
-    height_m: float = 1.1    # camera center above the base origin
-    pitch_rad: float = 0.6   # downward pitch of the optical axis
-
-    def validate(self):
-        check_finite_floats(self, "camera.")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("camera resolution must be positive")
-        if self.focal_px <= 0 or self.baseline_m <= 0:
-            raise ValueError("focal length and stereo baseline must be positive")
+    width: int = param(64, positive_int)
+    height: int = param(64, positive_int)
+    focal_px: float = param(60.0, positive)
+    baseline_m: float = param(0.08, positive)
+    height_m: float = param(1.1, finite_float)   # camera center above the base origin
+    pitch_rad: float = param(0.6, finite_float)  # downward pitch of the optical axis
 
 
 @dataclass
@@ -147,9 +121,11 @@ class WorldConfig:
     objects: list = field(default_factory=list)
     obstacle_boxes: list = field(default_factory=list)
     camera: CameraIntrinsics = field(default_factory=CameraIntrinsics)
-    rng_seed: int = 0
-    dt: float = 0.1
-    depth_noise_sigma: float = DEPTH_NOISE_SIGMA
+    rng_seed: int = param(0, count)
+    dt: float = param(0.1, positive)
+    # render draws noise only for a positive sigma, so a negative one would
+    # silently turn the noise off
+    depth_noise_sigma: float = param(DEPTH_NOISE_SIGMA, non_negative)
     robot_start: np.ndarray = field(default_factory=lambda: np.zeros(3))
     robot_joints: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.9, -1.4, 0.0, 1.0]))
     target_id: str | None = None
@@ -162,27 +138,18 @@ class WorldConfig:
         self.dt = float(self.dt)
 
     def validate(self):
-        for name in ("dt", "table_center", "table_size", "robot_start", "robot_joints"):
-            _check_finite(name, getattr(self, name))
-        for obj in self.objects:
-            for name in ("center", "half_extents", "color"):
-                _check_finite(f"object {obj.id!r} {name}", getattr(obj, name))
-        for i, box in enumerate(self.obstacle_boxes):
-            for name in ("center", "half_extents"):
-                _check_finite(f"obstacle {i} {name}", getattr(box, name))
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        _check_depth_noise_sigma(self.depth_noise_sigma)
-        if not np.all(self.table_size > 0):
-            raise ValueError("table size must be positive")
+        checks.validate(self)
+        for name, parse in (("table_center", _VEC3), ("table_size", _EXTENTS),
+                            ("robot_start", _VEC3), ("robot_joints", vec(5))):
+            check(name, getattr(self, name), parse)
         if not self.objects:
             raise ValueError("at least one object is required")
         for obj in self.objects:
-            if not np.all(obj.half_extents > 0):
-                raise ValueError(f"object {obj.id!r} has non-positive extents")
-        for box in self.obstacle_boxes:
-            if not np.all(box.half_extents > 0):
-                raise ValueError("obstacle box has non-positive extents")
+            for name, parse in (("center", _VEC3), ("half_extents", _EXTENTS), ("color", _VEC3)):
+                check(f"object {obj.id!r} {name}", getattr(obj, name), parse)
+        for i, box in enumerate(self.obstacle_boxes):
+            for name, parse in (("center", _VEC3), ("half_extents", _EXTENTS)):
+                check(f"obstacle {i} {name}", getattr(box, name), parse)
         ids = [o.id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")
@@ -199,7 +166,7 @@ class WorldConfig:
             raise ValueError("initial joints outside limits")
         if self.target_id is not None and self.target_id not in ids:
             raise ValueError(f"target object {self.target_id!r} not in scene")
-        self.camera.validate()
+        checks.validate(self.camera, "camera.")
 
     def solid_boxes(self) -> list:
         """(lo, hi) corners of the table, then of each obstacle box."""
@@ -584,7 +551,7 @@ class World:
         The frame's arrays are its own, and the cloud is built on first access.
         """
         if depth_noise_sigma is not None:
-            _check_depth_noise_sigma(depth_noise_sigma)
+            check("depth_noise_sigma", depth_noise_sigma, non_negative)
         cam = self.config.camera
         sigma = self.config.depth_noise_sigma if depth_noise_sigma is None else depth_noise_sigma
         origin, dirs, depth, idx, table, rgb, hit_ids = self._cast()

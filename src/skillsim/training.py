@@ -14,10 +14,10 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from . import nn
+from . import checks, nn
+from .checks import count, param, positive, positive_int
 from .dataset import NormStats, dataset_state_dim, normalize_state
 from .models import Autoencoder, Predictor, standardize_disparity, standardize_rgb
-from .sim import check_finite_floats
 
 log = logging.getLogger(__name__)
 
@@ -26,24 +26,20 @@ FD_STEP = 1e-5  # central-difference step of the gradient checks
 
 @dataclass
 class TrainConfig:
-    epochs: int = 1000            # predictor epochs
-    ae_epochs: int = 120
-    batch: int = 64
-    lr: float = 1e-3
-    grad_clip: float = 5.0
-    tbptt: int = 32
-    seed: int = 0
-    downscale: int = 2
-    latent: int = 32
-    hidden: int = 64
-    frame_stride: int = 1
+    epochs: int = param(1000, positive_int)  # predictor epochs
+    ae_epochs: int = param(120, positive_int)
+    batch: int = param(64, positive_int)
+    lr: float = param(1e-3, positive)
+    grad_clip: float = param(5.0, positive)
+    tbptt: int = param(32, positive_int)
+    seed: int = param(0, count)
+    downscale: int = param(2, positive_int)
+    latent: int = param(32, positive_int)
+    hidden: int = param(64, positive_int)
+    frame_stride: int = param(1, positive_int)
 
     def validate(self):
-        check_finite_floats(self)
-        for name in ("epochs", "ae_epochs", "batch", "lr", "grad_clip", "tbptt",
-                     "downscale", "latent", "hidden", "frame_stride"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        checks.validate(self)
 
 
 def write_loss_csv(path, losses) -> None:

@@ -288,6 +288,18 @@ def test_render_scene_with_nan_start_one_line_error(tmp_path, capsys):
     assert "bad value for 'robot.start'" in err
 
 
+def test_render_scene_with_negative_seed_one_line_error(tmp_path, capsys):
+    """numpy's bare "expected non-negative integer" named neither key nor file."""
+    path = tmp_path / "scene.txt"
+    write_scene_without(path, make_short_scene(0), "rng_seed")
+    with open(path, "a") as fh:
+        fh.write("rng_seed = -1\n")
+    err = one_line_error(capsys, ["render", "--scene", str(path),
+                                  "--out", str(tmp_path / "frame")], path)
+    assert err.endswith(f"{path}: bad value for 'rng_seed': must be >= 0, got -1")
+    assert not (tmp_path / "frame.ppm").exists()
+
+
 def test_eval_scene_obstacle_without_extents_one_line_error(mini_pipeline, tmp_path, capsys):
     _, _, models = mini_pipeline
     path = tmp_path / "scene.txt"
@@ -322,7 +334,7 @@ def test_inspect_manifest_scene_with_negative_dt_one_line_error(mini_pipeline, t
     manifest["scene"]["dt"] = -1.0
     mpath.write_text(json.dumps(manifest))
     err = one_line_error(capsys, ["inspect", str(tmp_path / "data")], mpath)
-    assert "dt must be positive" in err
+    assert "bad value for 'dt': must be > 0.0" in err
 
 
 def copy_models(models, dest):
@@ -364,7 +376,7 @@ def test_eval_bad_stats_file_one_line_error(mini_pipeline, tmp_path, capsys, cor
 def test_non_finite_config_flag_one_line_error(tmp_path, capsys, setting):
     key = setting.split("=")[0]
     err = one_line_error(capsys, ["inspect", str(tmp_path), "--set", setting], key)
-    assert "is not finite" in err
+    assert f"bad value for {key}: must be finite" in err
 
 
 @pytest.mark.parametrize("content,message", [
@@ -396,10 +408,10 @@ def test_eval_scene_with_non_square_camera_one_line_error(mini_pipeline, tmp_pat
                                      "expert.locate_noise_sigma=-0.01",
                                      "expert.yaw_jitter_rad=-0.2"])
 def test_negative_noise_or_jitter_flag_one_line_error(tmp_path, capsys, setting):
-    field = setting.split("=")[0].split(".")[1]
+    key = setting.split("=")[0]
     err = one_line_error(capsys, ["collect", "--variant", "short", "--episodes", "1",
-                                  "--out", str(tmp_path / "d"), "--set", setting], field)
-    assert f"{field} must be non-negative" in err
+                                  "--out", str(tmp_path / "d"), "--set", setting], key)
+    assert f"bad value for {key}: must be >= 0.0" in err
 
 
 def test_negative_distractor_count_flag_one_line_error(tmp_path, capsys):

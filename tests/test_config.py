@@ -1,8 +1,22 @@
 """Layered configuration resolution and provenance."""
 
+import dataclasses
+import math
+import re
+
 import pytest
 
+from skillsim import CameraIntrinsics, ExpertParams, PerceptionParams, WorldConfig, make_short_scene
 from skillsim.config import REGISTRY, ConfigError, load_run_config
+from skillsim.training import TrainConfig
+
+# config section -> a builder of its dataclass holding one field's value
+BUILD = {
+    "sim": lambda name, v: dataclasses.replace(make_short_scene(0), **{name: v}),
+    "perception": lambda name, v: PerceptionParams(**{name: v}),
+    "expert": lambda name, v: ExpertParams(**{name: v}),
+    "learner": lambda name, v: TrainConfig(**{name: v}),
+}
 
 
 def test_defaults_resolve():
@@ -60,9 +74,8 @@ def test_derived_param_objects():
 
 
 def test_expert_params_are_validated():
-    cfg = load_run_config(overrides=["expert.yaw_jitter_rad=-0.2"])
-    with pytest.raises(ValueError, match="^yaw_jitter_rad must be non-negative"):
-        cfg.expert_params()
+    with pytest.raises(ConfigError, match="bad value for expert.yaw_jitter_rad: must be >= 0.0"):
+        load_run_config(overrides=["expert.yaw_jitter_rad=-0.2"])
 
 
 def test_distractor_count_must_not_be_negative():
@@ -109,3 +122,51 @@ def test_registry_keys_and_defaults_pinned():
     defaults = {key: default for key, (default, _, _) in REGISTRY.items()}
     assert defaults == expected
     assert {k: type(v) for k, v in defaults.items()} == {k: type(v) for k, v in expected.items()}
+
+
+def declared(cls) -> dict:
+    """{field name: (default, parser)} of each field of `cls` that declares a parser."""
+    return {f.name: (f.default, f.metadata["parse"])
+            for f in dataclasses.fields(cls) if "parse" in f.metadata}
+
+
+def test_each_scalar_field_declares_the_one_parser_its_config_key_uses():
+    for cls in (CameraIntrinsics, PerceptionParams, ExpertParams, TrainConfig, WorldConfig):
+        scalars = {f.name for f in dataclasses.fields(cls) if type(f.default) in (int, float)}
+        assert scalars <= set(declared(cls)), cls.__name__
+    for section, cls in (("perception", PerceptionParams), ("expert", ExpertParams),
+                         ("learner", TrainConfig)):
+        keys = {k[len(section) + 1:]: (default, parse)
+                for k, (default, parse, _) in REGISTRY.items() if k.startswith(section + ".")}
+        fields = declared(cls)
+        fields.pop("seed", None)  # TrainConfig.seed is each command's --seed flag
+        assert keys == fields, section
+    assert REGISTRY["sim.depth_noise_sigma"][:2] == declared(WorldConfig)["depth_noise_sigma"]
+
+
+def agreement_probes():
+    for key, (default, _, _) in REGISTRY.items():
+        if key.split(".")[0] in BUILD:
+            values = [0, -1, math.nan, math.inf, True] + ([2.5] if type(default) is int else [])
+            if key == "perception.color_threshold":
+                values.append(math.sqrt(3.0) + 0.01)
+            yield from (pytest.param(key, v, id=f"{key}={v}") for v in values)
+
+
+@pytest.mark.parametrize("key,value", agreement_probes())
+def test_cli_and_api_reject_the_same_values(key, value):
+    """--set and the dataclass's validate() read one declaration, so they agree."""
+    section, name = key.split(".")
+    try:
+        load_run_config(overrides=[f"{key}={value}"])
+        cli_rejects = False
+    except ConfigError as exc:
+        assert f"bad value for {key}: " in str(exc)
+        cli_rejects = True
+    try:
+        BUILD[section](name, value).validate()
+        api_rejects = False
+    except ValueError as exc:
+        assert re.match(f"^{name} must ", str(exc)), exc
+        api_rejects = True
+    assert cli_rejects == api_rejects

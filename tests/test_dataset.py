@@ -214,9 +214,14 @@ def test_manifest_scene_round_trips_through_the_codec(tmp_path, short_episode):
 
 
 @pytest.mark.parametrize("path, value, message", [
-    (("rng_seed",), 7.9, r"'scene': bad value for 'rng_seed': 7.9 is not an integer"),
-    (("camera", "width"), True, r"'scene': bad value for 'camera.width': True is not an integer"),
-    (("dt",), -1.0, r"dt must be positive"),
+    pytest.param(("rng_seed",), 7.9, r"'scene': bad value for 'rng_seed': must be an integer, got 7.9",
+                 id="rng_seed=7.9"),
+    pytest.param(("rng_seed",), -1, r"'scene': bad value for 'rng_seed': must be >= 0, got -1",
+                 id="rng_seed=-1"),
+    pytest.param(("camera", "width"), True,
+                 r"'scene': bad value for 'camera.width': must be an integer, got True",
+                 id="camera.width=True"),
+    pytest.param(("dt",), -1.0, r"'scene': bad value for 'dt': must be > 0.0, got -1.0", id="dt=-1.0"),
 ])
 def test_manifest_scene_is_validated(tmp_path, path, value, message):
     save_episode(synthetic_episode(np.random.default_rng(4)), tmp_path / "ep")

@@ -187,7 +187,7 @@ def test_negative_noise_or_jitter_rejected_naming_the_field(name):
     that names nothing; a negative jitter amplitude means nothing."""
     params = ExpertParams(**{name: -0.01})
     world = World(make_long_scene(0))
-    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -0.01$"):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0.0, got -0.01$"):
         run_expert(world, "long", params)
     assert np.array_equal(world.state.base, world.config.robot_start)
     ExpertParams(**{name: 0.0}).validate()
@@ -225,9 +225,9 @@ def test_max_ticks_must_be_a_non_negative_int(max_ticks):
     not a count. Each is rejected, naming the field, before any tick."""
     cfg = make_short_scene(0)
     params = ExpertParams(max_ticks=max_ticks)
-    with pytest.raises(ValueError, match=r"^max_ticks must be an integer >= 0"):
+    with pytest.raises(ValueError, match=r"^max_ticks must be (an integer|>= 0),"):
         params.validate()
     world = World(cfg)
-    with pytest.raises(ValueError, match=r"^max_ticks must be an integer >= 0"):
+    with pytest.raises(ValueError, match=r"^max_ticks must be (an integer|>= 0),"):
         run_expert(world, "long", params)
     assert np.array_equal(world.state.base, cfg.robot_start)

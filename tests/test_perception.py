@@ -149,18 +149,18 @@ def test_sor_too_few_points():
 @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True, False, np.float64(2.0), None])
 def test_sor_rejects_invalid_k(k):
     cloud = random_cloud(np.random.default_rng(0), 20)
-    with pytest.raises(ValueError, match=r"^k must be an integer >= 1"):
+    with pytest.raises(ValueError, match=r"^k must be (an integer|>= 1),"):
         statistical_outlier_removal(cloud, k, 1.0)
-    with pytest.raises(ValueError, match=r"^k_neighbors must be an integer >= 1"):
+    with pytest.raises(ValueError, match=r"^k_neighbors must be (an integer|>= 1),"):
         PerceptionParams(k_neighbors=k).validate()
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
 def test_sor_rejects_invalid_alpha(alpha):
     cloud = random_cloud(np.random.default_rng(0), 20)
-    with pytest.raises(ValueError, match=r"^alpha must be finite and non-negative"):
+    with pytest.raises(ValueError, match=r"^alpha must be (finite|>= 0.0),"):
         statistical_outlier_removal(cloud, 4, alpha)
-    with pytest.raises(ValueError, match=r"^alpha must be finite and non-negative"):
+    with pytest.raises(ValueError, match=r"^alpha must be (finite|>= 0.0),"):
         PerceptionParams(alpha=alpha).validate()
 
 
@@ -321,9 +321,9 @@ def test_sor_monotone_in_alpha():
 def test_voxel_rejects_non_finite_or_non_positive_leaf(leaf):
     """A NaN or inf leaf once collapsed a 100-point cloud into one point."""
     cloud = random_cloud(np.random.default_rng(0), 100)
-    with pytest.raises(ValueError, match=r"^leaf must be finite and positive"):
+    with pytest.raises(ValueError, match=r"^leaf must be (finite|> 0.0),"):
         voxel_grid_filter(cloud, leaf)
-    with pytest.raises(ValueError, match=r"^leaf must be finite and positive"):
+    with pytest.raises(ValueError, match=r"^leaf must be (finite|> 0.0),"):
         PerceptionParams(leaf=leaf).validate()
 
 
@@ -331,9 +331,9 @@ def test_voxel_rejects_non_finite_or_non_positive_leaf(leaf):
 def test_color_segment_rejects_non_finite_or_non_positive_threshold(threshold):
     """A NaN threshold once kept no point of 100 and an infinite one kept all."""
     cloud = random_cloud(np.random.default_rng(0), 100)
-    with pytest.raises(ValueError, match=r"^threshold must be finite and positive"):
+    with pytest.raises(ValueError, match=r"^threshold must be (finite|> 0.0),"):
         color_segment(cloud, np.array([0.5, 0.5, 0.5]), threshold)
-    with pytest.raises(ValueError, match=r"^color_threshold must be in"):
+    with pytest.raises(ValueError, match=r"^color_threshold must be (finite|> 0.0),"):
         PerceptionParams(color_threshold=threshold).validate()
 
 

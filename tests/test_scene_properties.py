@@ -16,6 +16,9 @@ from skillsim.scene import (  # noqa: E402
 from skillsim.sim import Box, CameraIntrinsics, ObjectSpec, WorldConfig  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# the decoders parse each scalar with its field's parser, so these stay in its domain
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
 vec3 = st.lists(finite, min_size=3, max_size=3)
 ids = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
 
@@ -29,10 +32,10 @@ def world_configs(draw):
         objects=[ObjectSpec(i, draw(vec3), draw(vec3), draw(vec3)) for i in object_ids],
         obstacle_boxes=draw(st.lists(st.builds(Box, vec3, vec3), max_size=3)),
         camera=CameraIntrinsics(draw(st.integers(1, 4096)), draw(st.integers(1, 4096)),
-                                draw(finite), draw(finite), draw(finite), draw(finite)),
+                                draw(positive), draw(positive), draw(finite), draw(finite)),
         rng_seed=draw(st.integers(0, 2**63)),
-        dt=draw(finite),
-        depth_noise_sigma=draw(finite),
+        dt=draw(positive),
+        depth_noise_sigma=draw(non_negative),
         robot_start=draw(vec3),
         robot_joints=draw(st.lists(finite, min_size=5, max_size=5)),
         target_id=draw(st.none() | st.sampled_from(object_ids)),

@@ -320,7 +320,7 @@ def test_world_rejects_a_negative_depth_noise_sigma_naming_it():
     silently turn the noise off."""
     cfg = make_scene(0, "short")
     cfg.depth_noise_sigma = -0.01
-    with pytest.raises(ValueError, match="^depth_noise_sigma must be non-negative, got -0.01$"):
+    with pytest.raises(ValueError, match="^depth_noise_sigma must be >= 0.0, got -0.01$"):
         World(cfg)
     cfg.depth_noise_sigma = 0.0
     World(cfg)
@@ -330,7 +330,7 @@ def test_world_rejects_a_negative_depth_noise_sigma_naming_it():
 def test_render_rejects_a_bad_depth_noise_sigma_naming_it(sigma):
     """The argument passes WorldConfig.validate's check, before any noise is drawn."""
     world = World(make_short_scene(0))
-    with pytest.raises(ValueError, match="^depth_noise_sigma must be (non-negative|finite)"):
+    with pytest.raises(ValueError, match="^depth_noise_sigma must be (>= 0.0|finite),"):
         world.render(depth_noise_sigma=sigma)
     assert world.render().depth.tobytes() == World(make_short_scene(0)).render().depth.tobytes()
 

@@ -1,6 +1,7 @@
-"""Property: a NaN or infinite float in ExpertParams (its perception leaves
-included), TrainConfig or CameraIntrinsics raises a ValueError naming the
-field before any run, transcript or model exists."""
+"""Property: a NaN or infinite float, or a bool, a fraction or a too-small
+integer in an int field, of ExpertParams (its perception leaves included),
+TrainConfig or CameraIntrinsics raises a ValueError naming the field before
+any run, transcript or model exists."""
 
 from dataclasses import fields
 
@@ -14,24 +15,43 @@ from skillsim import (CameraIntrinsics, ExpertParams, PerceptionParams, World,  
                       make_short_scene, run_expert)
 from skillsim.training import TrainConfig, train_autoencoder, train_predictor  # noqa: E402
 
+SECTIONS = (("expert", ExpertParams), ("perception", PerceptionParams),
+            ("learner", TrainConfig), ("camera", CameraIntrinsics))
 
-def float_fields(cls):
-    return [f.name for f in fields(cls) if isinstance(f.default, float)]
+
+def leaves(kind):
+    return [(section, f.name) for section, cls in SECTIONS for f in fields(cls)
+            if type(f.default) is kind]
 
 
-LEAVES = ([("expert", name) for name in float_fields(ExpertParams)]
-          + [("perception", name) for name in float_fields(PerceptionParams)]
-          + [("learner", name) for name in float_fields(TrainConfig)]
-          + [("camera", name) for name in float_fields(CameraIntrinsics)])
+LEAVES = leaves(float)
+INT_LEAVES = leaves(int)
+MINIMUM = {"max_ticks": 0, "seed": 0}  # every other int field counts from 1
 
 
 def test_every_float_leaf_is_drawn():
     assert len(LEAVES) == 5 + 3 + 2 + 4
 
 
+def test_every_int_leaf_is_drawn():
+    assert len(INT_LEAVES) == 1 + 1 + 9 + 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(leaf=st.sampled_from(LEAVES), value=st.sampled_from((np.nan, np.inf, -np.inf)))
 def test_a_non_finite_float_leaf_is_rejected_naming_it(leaf, value):
+    assert_rejected_naming_it(leaf, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_bool_fraction_or_too_small_int_leaf_is_rejected_naming_it(data):
+    leaf = data.draw(st.sampled_from(INT_LEAVES))
+    below = MINIMUM.get(leaf[1], 1) - 1
+    assert_rejected_naming_it(leaf, data.draw(st.sampled_from((True, False, 2.5, below))))
+
+
+def assert_rejected_naming_it(leaf, value):
     section, name = leaf
     message = "^" + ("camera." if section == "camera" else "") + name + " must"
     if section == "learner":
