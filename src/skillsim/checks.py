@@ -1,30 +1,37 @@
 """One vocabulary for value constraints. A parser takes a value, or its text
 from a scene or config file, and returns it converted or raises ValueError
-saying what the value must be. Each scalar parameter field declares its
-parser once, with `param`; `validate` and `config.REGISTRY` both read it."""
+saying what the value must be. Each parameter field, scalar or vector, declares
+its parser once, with `param`; `validate`, the scene decoder and
+`config.REGISTRY` read it."""
 
 from __future__ import annotations
 
 import operator
-from dataclasses import field, fields
+from dataclasses import MISSING, field, fields
 
 import numpy as np
 
 
 def finite_float(value) -> float:
-    if isinstance(value, bool):  # float(True) is 1.0
-        raise ValueError(f"must be a number, got {value!r}")
-    x = float(value)
+    try:
+        if isinstance(value, bool):  # float(True) is 1.0
+            raise ValueError
+        x = float(value)
+    except ValueError:  # a bool, or text that spells no number
+        raise ValueError(f"must be a number, got {value!r}") from None
     if not np.isfinite(x):
         raise ValueError(f"must be finite, got {value!r}")
     return x
 
 
 def integer(value) -> int:
-    """An int, or its decimal text from a file; 7.9 and True are not integers."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer, str)):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
+    """An int, or its decimal text from a file; 7.9, '7.9' and True are not integers."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer, str)):
+            raise ValueError
+        return int(value)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {value!r}") from None
 
 
 def vec(n: int):
@@ -66,9 +73,10 @@ count = bound(integer, ">=", 0)
 positive_int = bound(integer, ">=", 1)
 
 
-def param(default, parse):
-    """A dataclass field whose default is `default` and whose parser is `parse`."""
-    return field(default=default, metadata={"parse": parse})
+def param(default=MISSING, parse=None, *, factory=MISSING):
+    """A dataclass field whose parser is `parse` and whose default is `default`,
+    or `factory()`, or that has none."""
+    return field(default=default, default_factory=factory, metadata={"parse": parse})
 
 
 def parsers(cls) -> dict:

@@ -13,7 +13,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .checks import check, count, parsers, vec
+from .checks import check, count, parsers
 from .sim import (DEPTH_NOISE_SIGMA, TABLE_CENTER, TABLE_SIZE, Box, CameraIntrinsics,
                   ObjectSpec, WorldConfig)
 
@@ -184,33 +184,26 @@ def reader(mapping, names, prefix: str):
     return read
 
 
+def _decode(cls, read, **given):
+    """A `cls` of `given` and, for each field that declares a parser, read(name, parser)."""
+    return cls(**given, **{name: read(name, parse) for name, parse in parsers(cls).items()})
+
+
 def config_from_dict(d: dict) -> WorldConfig:
     """Decode config_to_dict's output; any leaf may also be its scene-file text.
-    Vectors hold 3 values, joints 5; `reader` names a bad key (`object.box0.color`)."""
+    Each field is read with its own parser; `reader` names a bad key (`object.box0.color`)."""
     read = reader(d, [f.name for f in fields(WorldConfig)], "")
-    cam_parsers = parsers(CameraIntrinsics)
-    cam = reader(read("camera"), cam_parsers, "camera.")
     objects = []
     for i, o in enumerate(read("objects", list)):
         name = o.get("id", i) if isinstance(o, dict) else i
-        obj = reader(o, ("id", "center", "half_extents", "color"), f"object.{name}.")
-        objects.append(ObjectSpec(obj("id", str), obj("center", vec(3)),
-                                  obj("half_extents", vec(3)), obj("color", vec(3))))
-    boxes = []
-    for i, b in enumerate(read("obstacle_boxes", list)):
-        box = reader(b, ("center", "half_extents"), f"obstacle.{i}.")
-        boxes.append(Box(box("center", vec(3)), box("half_extents", vec(3))))
-    return WorldConfig(
-        table_center=read("table_center", vec(3)),
-        table_size=read("table_size", vec(3)),
-        objects=objects,
-        obstacle_boxes=boxes,
-        camera=CameraIntrinsics(**{name: cam(name, parse) for name, parse in cam_parsers.items()}),
-        **{name: read(name, parse) for name, parse in parsers(WorldConfig).items()},
-        robot_start=read("robot_start", vec(3)),
-        robot_joints=read("robot_joints", vec(5)),
-        target_id=read("target_id", lambda v: None if v is None else str(v), None),
-    )
+        obj = reader(o, [f.name for f in fields(ObjectSpec)], f"object.{name}.")
+        objects.append(_decode(ObjectSpec, obj, id=obj("id", str)))
+    boxes = [_decode(Box, reader(b, [f.name for f in fields(Box)], f"obstacle.{i}."))
+             for i, b in enumerate(read("obstacle_boxes", list))]
+    camera = _decode(CameraIntrinsics,
+                     reader(read("camera"), [f.name for f in fields(CameraIntrinsics)], "camera."))
+    return _decode(WorldConfig, read, objects=objects, obstacle_boxes=boxes, camera=camera,
+                   target_id=read("target_id", lambda v: None if v is None else str(v), None))
 
 
 def _fmt(value) -> str:

@@ -29,6 +29,8 @@ TABLE_SIZE = (0.6, 1.2, 0.4)
 DEPTH_NOISE_SIGMA = 0.002   # depth noise std (m)
 _VEC3 = vec(3)
 _EXTENTS = bound(_VEC3, ">", 0.0)  # sizes and half extents of boxes
+_JOINTS = bound(bound(vec(5), ">=", kinematics.JOINT_LOW.tolist()),
+                "<=", kinematics.JOINT_HIGH.tolist())
 
 FLOOR_COLOR = (0.45, 0.45, 0.45)
 TABLE_COLOR = (0.55, 0.36, 0.20)
@@ -53,9 +55,9 @@ class ObjectSpec:
     """A colored axis-aligned box resting in the scene."""
 
     id: str
-    center: np.ndarray
-    half_extents: np.ndarray
-    color: np.ndarray
+    center: np.ndarray = param(parse=_VEC3)
+    half_extents: np.ndarray = param(parse=_EXTENTS)
+    color: np.ndarray = param(parse=_VEC3)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -67,8 +69,8 @@ class ObjectSpec:
 class Box:
     """Plain axis-aligned obstacle box."""
 
-    center: np.ndarray
-    half_extents: np.ndarray
+    center: np.ndarray = param(parse=_VEC3)
+    half_extents: np.ndarray = param(parse=_EXTENTS)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -116,8 +118,8 @@ class RobotState:
 
 @dataclass
 class WorldConfig:
-    table_center: np.ndarray = field(default_factory=lambda: np.array(TABLE_CENTER))
-    table_size: np.ndarray = field(default_factory=lambda: np.array(TABLE_SIZE))
+    table_center: np.ndarray = param(parse=_VEC3, factory=lambda: np.array(TABLE_CENTER))
+    table_size: np.ndarray = param(parse=_EXTENTS, factory=lambda: np.array(TABLE_SIZE))
     objects: list = field(default_factory=list)
     obstacle_boxes: list = field(default_factory=list)
     camera: CameraIntrinsics = field(default_factory=CameraIntrinsics)
@@ -126,8 +128,9 @@ class WorldConfig:
     # render draws noise only for a positive sigma, so a negative one would
     # silently turn the noise off
     depth_noise_sigma: float = param(DEPTH_NOISE_SIGMA, non_negative)
-    robot_start: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    robot_joints: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.9, -1.4, 0.0, 1.0]))
+    robot_start: np.ndarray = param(parse=_VEC3, factory=lambda: np.zeros(3))
+    robot_joints: np.ndarray = param(parse=_JOINTS,
+                                     factory=lambda: np.array([0.0, 0.9, -1.4, 0.0, 1.0]))
     target_id: str | None = None
 
     def __post_init__(self):
@@ -139,17 +142,13 @@ class WorldConfig:
 
     def validate(self):
         checks.validate(self)
-        for name, parse in (("table_center", _VEC3), ("table_size", _EXTENTS),
-                            ("robot_start", _VEC3), ("robot_joints", vec(5))):
-            check(name, getattr(self, name), parse)
+        checks.validate(self.camera, "camera.")
+        for obj in self.objects:
+            checks.validate(obj, f"object {obj.id!r} ")
+        for i, box in enumerate(self.obstacle_boxes):
+            checks.validate(box, f"obstacle {i} ")
         if not self.objects:
             raise ValueError("at least one object is required")
-        for obj in self.objects:
-            for name, parse in (("center", _VEC3), ("half_extents", _EXTENTS), ("color", _VEC3)):
-                check(f"object {obj.id!r} {name}", getattr(obj, name), parse)
-        for i, box in enumerate(self.obstacle_boxes):
-            for name, parse in (("center", _VEC3), ("half_extents", _EXTENTS)):
-                check(f"obstacle {i} {name}", getattr(box, name), parse)
         ids = [o.id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")
@@ -160,13 +159,8 @@ class WorldConfig:
                         f"objects {a.id!r} and {b.id!r} have colors closer than "
                         f"{MIN_COLOR_SEPARATION}"
                     )
-        if np.any(self.robot_joints < kinematics.JOINT_LOW) or np.any(
-            self.robot_joints > kinematics.JOINT_HIGH
-        ):
-            raise ValueError("initial joints outside limits")
         if self.target_id is not None and self.target_id not in ids:
             raise ValueError(f"target object {self.target_id!r} not in scene")
-        checks.validate(self.camera, "camera.")
 
     def solid_boxes(self) -> list:
         """(lo, hi) corners of the table, then of each obstacle box."""
@@ -265,10 +259,10 @@ class World:
         self.object_centers = {o.id: o.center.copy() for o in config.objects}
         self._attach_offset = None
         self._rng = np.random.default_rng(config.rng_seed)
-        self._pixel_dirs = self._make_pixel_dirs(config.camera)
-        # the render cache of `_cast`, keyed on raw inputs: (pose key, origin,
-        # rotation, dirs, 1 / dirs planes) of the last pose, one (box key,
-        # window, t or None) per box, and (frame key, cast arrays)
+        # the render cache of `_cast`, keyed on raw inputs: (camera key, rays,
+        # focal_px, (width, height), fb), (view key, origin, rotation, dirs,
+        # 1 / dirs planes), one (box key, window, t or None) per box, and (frame key, cast)
+        self._camera = None
         self._view = None
         self._hits = []
         self._frame = None
@@ -372,15 +366,6 @@ class World:
     # ------------------------------------------------------------------
     # rendering
 
-    @staticmethod
-    def _make_pixel_dirs(cam: CameraIntrinsics) -> np.ndarray:
-        """Camera-frame ray directions (z normalized to 1), one per pixel."""
-        us = (np.arange(cam.width) + 0.5 - cam.width / 2.0) / cam.focal_px
-        vs = (np.arange(cam.height) + 0.5 - cam.height / 2.0) / cam.focal_px
-        uu, vv = np.meshgrid(us, vs)
-        dirs = np.stack([uu, vv, np.ones_like(uu)], axis=-1)
-        return dirs.reshape(-1, 3)
-
     def camera_pose(self):
         """Camera origin and world-from-camera rotation (x right, y down, z forward)."""
         cam = self.config.camera
@@ -414,7 +399,8 @@ class World:
 
     def _cast(self) -> tuple:
         """The noiseless part of a frame: (origin, dirs, depth, idx, table, rgb,
-        hit_ids), for the current state and config.
+        hit_ids, (height, width), float32 focal_px * baseline_m), for the
+        current state and config.
 
         From the boxes of `_render_boxes`, a [sky] + boxes color table gives
         each pixel its color and hit id. `table` is the float color table;
@@ -423,66 +409,81 @@ class World:
         colors it keeps.
 
         Everything is keyed on the raw inputs the frame is derived from, as
-        bytes (-0.0 and 0.0 differ): the pose on `state.base` and the
-        camera's height_m and pitch_rad; each box on its center and half
-        extents (each object's center from `object_centers`, the table's
-        center and size); the frame on the pose, the number of objects, every
-        box and every object color. The frame is a deterministic function of
-        these (and of the camera intrinsics fixed at World()), so a kept
-        value is exact where its key matches. At an unchanged frame key the
-        last arrays are returned and nothing is derived. They are read-only,
-        since render() hands them to every frame of the same inputs.
+        bytes (-0.0 and 0.0 differ): the view on `state.base` and the six
+        camera intrinsics, with their types (64 and 64.0 differ); each box on
+        its center and half extents (each object's center from
+        `object_centers`, the table's center and size); the frame on the
+        view, the number of objects, every box and every object color. The
+        frame is a deterministic function of these, so a kept value is exact
+        where its key matches. At an unchanged frame key the last cast is
+        returned and nothing is derived. Its arrays are read-only, since
+        render() hands them to every frame of the same inputs.
 
-        Otherwise the camera pose, box corners and colors are derived and
-        checked to be finite before anything is cast. Only keys that passed
-        that check are kept, so an input that is not finite never matches
-        them: it always raises ValueError. The view of a pose is its origin,
-        rotation, ray directions `dirs` (N, 3) and their reciprocals as
-        (3, H, W) planes, one per axis; it is kept until the pose key
-        changes. Each box is cast only over its pixel window (see
-        `_windows`), on the window's slice of those planes, and its window
-        and the entry distance t of each ray in it are kept under its box
-        key. At the pose of the last cast only a stale box is cast again:
-        one whose key changed, or one past the boxes that cast had. A new
-        pose casts every box. The kept t are then composited on (H, W)
-        planes in box order with a strict `t < best`, which picks the
-        nearest box, ties going to the first, exactly as one cast of every
-        box would; pixels outside every window keep t = inf. Each pixel's
-        color and hit id are gathered from the tables, which copies their
-        values bit for bit, so a recolor casts nothing.
+        Otherwise a new camera key is checked with the camera fields'
+        parsers, and the camera pose, box corners and colors must be finite,
+        before anything is cast. Only keys that passed are kept, so a value
+        either check rejects never matches them and always raises ValueError.
+        From the intrinsics read for its key, the camera gives the
+        camera-frame rays and what `_windows` and the disparity take; the
+        view adds the origin, rotation, ray directions `dirs` (N, 3) and
+        their reciprocals as (3, H, W) planes, one per axis. Each box is cast only over its
+        pixel window (see `_windows`), on the window's slice of those
+        planes, and its window and the entry distance t of each ray in it
+        are kept under its box key. At the view of the last cast only a
+        stale box is cast again: one whose key changed, or one past the
+        boxes that cast had. A new view casts every box. The kept t are then
+        composited on (H, W) planes in box order with a strict `t < best`,
+        which picks the nearest box, ties going to the first, exactly as one
+        cast of every box would; pixels outside every window keep t = inf.
+        Each pixel's color and hit id are gathered from the tables, which
+        copies their values bit for bit, so a recolor casts nothing.
         """
         cfg, cam = self.config, self.config.camera
-        h, w = cam.height, cam.width
-        pose = self.state.base.tobytes() + struct.pack("<2d", cam.height_m, cam.pitch_rad)
+        intrinsics = (cam.width, cam.height, cam.focal_px, cam.baseline_m, cam.height_m,
+                      cam.pitch_rad)
+        try:
+            camera_key = (struct.pack("<6d", *intrinsics), tuple(map(type, intrinsics)))
+        except struct.error:  # not a number: a key equal to no other
+            camera_key = object()
+        view_key = (self.state.base.tobytes(), camera_key)
         keys = [b"", cfg.table_center.tobytes() + cfg.table_size.tobytes()]
         keys += [self.object_centers[obj.id].tobytes() + obj.half_extents.tobytes()
                  for obj in cfg.objects]
         keys += [box.center.tobytes() + box.half_extents.tobytes()
                  for box in cfg.obstacle_boxes]
-        frame_key = (pose, len(cfg.objects), keys,
+        frame_key = (view_key, len(cfg.objects), keys,
                      b"".join(obj.color.tobytes() for obj in cfg.objects))
         if self._frame is not None and self._frame[0] == frame_key:
             return self._frame[1]
-        same_pose = self._view is not None and self._view[0] == pose
-        origin, rot = self._view[1:3] if same_pose else self.camera_pose()
+        if self._camera is None or self._camera[0] != camera_key:
+            checks.validate(cam, "camera.")
+            w, h, focal_px, baseline_m = intrinsics[:4]
+            rays = np.ones((h, w, 3))  # camera frame, z = 1
+            rays[:, :, 0] = (np.arange(w) + 0.5 - w / 2.0) / focal_px
+            rays[:, :, 1] = ((np.arange(h) + 0.5 - h / 2.0) / focal_px)[:, None]
+            self._camera = (camera_key, rays.reshape(-1, 3), focal_px, (w, h),
+                            np.float32(focal_px * baseline_m))
+        _, rays, focal_px, (w, h), fb = self._camera
+        same_view = self._view is not None and self._view[0] == view_key
+        origin, rot = self._view[1:3] if same_view else self.camera_pose()
         boxes = self._render_boxes()
         lohi = np.array([(lo, hi) for lo, hi, _, _ in boxes])
         colors = np.array([color for _, _, color, _ in boxes], dtype=float)
         if not np.isfinite(np.concatenate([origin, rot.ravel(), lohi.ravel(),
                                            colors.ravel()])).all():
             raise ValueError("camera pose and box corners must be finite to render")
-        if not same_pose:
-            dirs = self._pixel_dirs @ rot.T
+        if not same_view:
+            dirs = rays @ rot.T
             inv = np.empty((3, h, w))
             with np.errstate(divide="ignore"):
                 np.divide(1.0, dirs.T.reshape(3, h, w), out=inv)
-            self._view = (pose, origin, rot, dirs, inv)
+            self._view = (view_key, origin, rot, dirs, inv)
         _, _, _, dirs, inv = self._view
-        kept = self._hits if same_pose else []
+        kept = self._hits if same_view else []
         hits = kept[:len(keys)] + [None] * (len(keys) - len(kept))
         stale = [j for j, key in enumerate(keys) if hits[j] is None or hits[j][0] != key]
         with np.errstate(invalid="ignore"):
-            for j, window in zip(stale, self._windows(origin, rot, lohi[stale])):
+            for j, window in zip(stale, self._windows(origin, rot, lohi[stale], focal_px, (w, h))):
                 r0, r1, c0, c1 = window
                 t = (_ray_aabb(origin, inv[:, r0:r1, c0:c1], lohi[j, 0], lohi[j, 1])
                      if r0 < r1 and c0 < c1 else None)
@@ -504,31 +505,31 @@ class World:
         hids = (HIT_NONE,) + tuple(hid for *_, hid in boxes)
         hit_ids = np.array(hids, dtype=np.int32).take(idx)
         depth = np.where(np.isfinite(t_best), t_best, 0.0)
-        cast = (origin, dirs, depth, idx, table, rgb, hit_ids)
-        for a in cast:
+        arrays = (origin, dirs, depth, idx, table, rgb, hit_ids)
+        for a in arrays:
             a.flags.writeable = False
-        self._frame = (frame_key, cast)
-        return cast
+        self._frame = (frame_key, arrays + ((h, w), fb))
+        return self._frame[1]
 
-    def _windows(self, origin: np.ndarray, rot: np.ndarray, lohi: np.ndarray) -> list:
+    @staticmethod
+    def _windows(origin: np.ndarray, rot: np.ndarray, lohi: np.ndarray, focal_px, size) -> list:
         """(r0, r1, c0, c1) per box of `lohi` (B, 2, 3): the pixel rows r0:r1 and
-        columns c0:c1 that can see it.
+        columns c0:c1 that can see it, in an image of `size` (width, height).
 
         With every corner in front of the camera, a box's image lies inside the
         hull of its corners' images (a box is convex), so the window spans
         the pixels whose centers lie between the corners' extreme image
         coordinates, widened by one pixel against rounding and clipped to the
-        image. Pixel i's center is at (i + 0.5 - W/2) / f, as in
-        `_make_pixel_dirs`. A box with a corner not in front of the camera
-        (the floor, a box across the image plane) gets the whole image.
+        image. Pixel i's center is at (i + 0.5 - W/2) / f, as in the rays of
+        `_cast`. A box with a corner not in front of the camera (the floor, a
+        box across the image plane) gets the whole image.
         """
-        cam = self.config.camera
         corners = lohi[:, _CORNER_PICK, (0, 1, 2)].reshape(-1, 3)  # (B * 8, 3)
         xyz = ((corners - origin) @ rot).reshape(-1, 8, 3)
         ahead = (xyz[:, :, 2] > 0.0).all(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            img = xyz[:, :, :2] / xyz[:, :, 2:] * cam.focal_px
-        size = np.array([cam.width, cam.height])
+            img = xyz[:, :, :2] / xyz[:, :, 2:] * focal_px
+        size = np.array(size)
         first = np.ceil(img.min(axis=1) + (size / 2.0 - 0.5)) - 1.0
         stop = np.floor(img.max(axis=1) + (size / 2.0 - 0.5)) + 2.0
         first = np.where(ahead[:, None], np.clip(first, 0, size), 0).astype(int)
@@ -545,16 +546,15 @@ class World:
         The noiseless cast is kept, keyed on the raw inputs it is derived
         from (see `_cast`): at unchanged inputs only the noise is drawn, and
         only the boxes that moved since the last frame at the same camera
-        pose are cast again. A pose or box that is not finite raises
-        ValueError instead of a cast, and so does a depth_noise_sigma
-        argument that WorldConfig.validate would reject.
+        view are cast again. A pose or box that is not finite, or a camera
+        field or depth_noise_sigma argument that WorldConfig.validate would
+        reject, raises ValueError instead of a cast.
         The frame's arrays are its own, and the cloud is built on first access.
         """
         if depth_noise_sigma is not None:
             check("depth_noise_sigma", depth_noise_sigma, non_negative)
-        cam = self.config.camera
         sigma = self.config.depth_noise_sigma if depth_noise_sigma is None else depth_noise_sigma
-        origin, dirs, depth, idx, table, rgb, hit_ids = self._cast()
+        origin, dirs, depth, idx, table, rgb, hit_ids, (h, w), fb = self._cast()
 
         # where= leaves masked-out lanes at out's +0.0, as np.where(..., 0.0)
         # did, and forms no quotient of a zero depth
@@ -562,7 +562,6 @@ class World:
             noise = self._rng.normal(0.0, sigma, size=dirs.shape[0])
             depth = np.add(depth, noise, out=np.zeros_like(depth), where=depth > 0.0)
         depth32 = depth.astype(np.float32)
-        fb = np.float32(cam.focal_px * cam.baseline_m)
         disparity = np.divide(fb, depth32, out=np.zeros_like(depth32), where=depth32 > 0.0)
 
         def make_cloud() -> PointCloud:
@@ -572,7 +571,6 @@ class World:
             pts = origin[None, :] + d32[mask, None].astype(float) * dirs[mask]
             return PointCloud(pts, table.take(idx[mask], axis=0))
 
-        h, w = cam.height, cam.width
         return SensorFrame(
             rgb=rgb.reshape(h, w, 3).copy(),
             depth=depth32.reshape(h, w),

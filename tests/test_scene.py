@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skillsim.config import load_run_config
+from skillsim.kinematics import JOINT_HIGH
 from skillsim.scene import (
     PALETTE,
     config_from_text,
@@ -188,6 +189,40 @@ def test_load_scene_rejects_a_negative_seed_naming_key_and_path(tmp_path):
     path.write_text(GOLDEN_LONG_SCENE.replace("rng_seed = 0", "rng_seed = -1"))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: bad value for 'rng_seed': "
                                          r"must be >= 0, got -1$"):
+        load_scene(path)
+
+
+VECTOR_KEYS = ("table.center", "table.size", "robot.start", "robot.joints", "object.box0.center",
+               "object.box0.half_extents", "object.box0.color", "obstacle.0.center",
+               "obstacle.0.half_extents")
+EXTENT_KEYS = ("table.size", "object.box0.half_extents", "obstacle.0.half_extents")
+
+
+def bad_vectors():
+    """(key, value, what the error says it must be) for each bad vector probe."""
+    for key in VECTOR_KEYS:
+        n = 5 if key == "robot.joints" else 3
+        probes = {"nan": (["0.1"] * (n - 1) + ["nan"], "finite"),
+                  "short": (["0.1"] * (n - 1), f"{n} values")}
+        if key in EXTENT_KEYS:
+            probes.update(zero=(["0.1", "0.0", "0.1"], "> 0.0"),
+                          negative=(["-0.05", "0.1", "0.1"], "> 0.0"))
+        if key == "robot.joints":  # the gripper past its upper limit
+            probes["past high"] = (["0.0", "0.9", "-1.4", "0.0", repr(float(JOINT_HIGH[4]) + 0.5)],
+                                   "<= ")
+        yield from (pytest.param(key, " ".join(v), must, id=f"{key}-{what}")
+                    for what, (v, must) in probes.items())
+
+
+@pytest.mark.parametrize("key,value,must", bad_vectors())
+def test_load_scene_names_the_key_of_every_bad_vector(tmp_path, key, value, must):
+    """The decoder reads each vector with its field's parser, so a bad extent or
+    joint is named like a bad number, by its key and what it must be."""
+    path = tmp_path / "scene.txt"
+    lines = [l for l in GOLDEN_LONG_SCENE.splitlines() if not l.startswith(key + " =")]
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: bad value for '{key}': "
+                                         rf"must be {re.escape(must)}"):
         load_scene(path)
 
 

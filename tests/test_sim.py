@@ -432,12 +432,21 @@ def test_ray_aabb_on_planes_bit_equal_to_reference(where):
     assert window.tobytes() == expected[2:7, 3:10].tobytes()
 
 
+def pixel_rays_reference(cam):
+    """Camera-frame ray directions (z normalized to 1), one per pixel, row by row."""
+    us = (np.arange(cam.width) + 0.5 - cam.width / 2.0) / cam.focal_px
+    vs = (np.arange(cam.height) + 0.5 - cam.height / 2.0) / cam.focal_px
+    uu, vv = np.meshgrid(us, vs)
+    return np.stack([uu, vv, np.ones_like(uu)], axis=-1).reshape(-1, 3)
+
+
 def render_reference(world, depth_noise_sigma=None):
-    """(rgb, depth, disparity, hit_ids, cloud positions, cloud colors) of one frame."""
+    """(rgb, depth, disparity, hit_ids, cloud positions, cloud colors) of one
+    frame, with the camera as it is at the call."""
     cam = world.config.camera
     sigma = world.config.depth_noise_sigma if depth_noise_sigma is None else depth_noise_sigma
     origin, rot = world.camera_pose()
-    dirs = world._pixel_dirs @ rot.T
+    dirs = pixel_rays_reference(cam) @ rot.T
     n = dirs.shape[0]
     t_best = np.full(n, np.inf)
     id_best = np.full(n, sim.HIT_NONE, dtype=np.int32)
@@ -626,7 +635,7 @@ def test_render_bit_equal_to_reference_with_axis_parallel_rays():
                                camera=sim.CameraIntrinsics(width=63, height=63, pitch_rad=0.0))
     run = Lockstep(cfg)
     origin, rot = run.world.camera_pose()
-    assert np.any((run.world._pixel_dirs @ rot.T)[:, 1] == 0.0)
+    assert np.any((pixel_rays_reference(cfg.camera) @ rot.T)[:, 1] == 0.0)
     assert cfg.objects[0].center[1] - cfg.objects[0].half_extents[1] == origin[1]
     frame = run.render()
     assert np.any(frame.hit_ids[:, 30:33] == run.world.hit_id("box0"))
@@ -681,8 +690,9 @@ def test_render_casts_only_the_boxes_that_moved(monkeypatch):
     def cast_boxes():
         origin, rot = run.world.camera_pose()
         lohi = np.array([(lo, hi) for lo, hi, _, _ in run.world._render_boxes()])
-        return [box for box, (r0, r1, c0, c1) in zip(lohi, run.world._windows(origin, rot, lohi))
-                if r0 < r1 and c0 < c1]
+        windows = sim.World._windows(origin, rot, lohi, cfg.camera.focal_px,
+                                     (cfg.camera.width, cfg.camera.height))
+        return [box for box, (r0, r1, c0, c1) in zip(lohi, windows) if r0 < r1 and c0 < c1]
 
     expected = cast_boxes()
     assert len(expected) == 5       # the obstacle off to the left has an empty window
@@ -744,17 +754,31 @@ def write_in_place(run, name):
         cfg.obstacle_boxes[0].half_extents[0] += 0.04
     elif name == "camera.height_m":
         cfg.camera.height_m += 0.05
-    else:
-        assert name == "camera.pitch_rad"
+    elif name == "camera.pitch_rad":
         cfg.camera.pitch_rad += 0.03
+    elif name == "camera.focal_px":
+        cfg.camera.focal_px = 40.0
+    elif name == "camera.width":
+        cfg.camera.width = 32
+    elif name == "camera.height":
+        cfg.camera.height = 48
+    else:
+        assert name == "camera.baseline_m"
+        cfg.camera.baseline_m *= 1.5
 
 
 RAW_INPUTS = ["state.base", "object center", "object half_extents", "object color",
-              "table_size", "obstacle half_extents", "camera.height_m", "camera.pitch_rad"]
+              "table_size", "obstacle half_extents", "camera.height_m", "camera.pitch_rad",
+              "camera.focal_px", "camera.width", "camera.height", "camera.baseline_m"]
 
 
 def noiseless_bytes(frame):
     return frame.rgb.tobytes() + frame.depth.tobytes() + frame.hit_ids.tobytes()
+
+
+def changed_bytes(frame, name):
+    """The bytes a write of `name` changes: the baseline enters the disparity alone."""
+    return frame.disparity.tobytes() if name == "camera.baseline_m" else noiseless_bytes(frame)
 
 
 def test_render_key_sees_every_raw_input_written_in_place():
@@ -768,12 +792,13 @@ def test_render_key_sees_every_raw_input_written_in_place():
         run.render()
         write_in_place(run, name)
         frame = run.render(0.0)
-        assert noiseless_bytes(frame) != noiseless_bytes(before), name
+        assert changed_bytes(frame, name) != changed_bytes(before, name), name
         run.render()                        # unchanged inputs: the cast is kept
         before = frame
 
 
-@pytest.mark.parametrize("name", RAW_INPUTS)
+@pytest.mark.parametrize("name", [n for n in RAW_INPUTS
+                                  if n not in ("camera.width", "camera.height")])
 def test_render_raises_on_a_nan_written_after_a_kept_frame(name):
     cfg, run = scene_with_obstacle_in_view()
     world = run.world
@@ -789,8 +814,23 @@ def test_render_raises_on_a_nan_written_after_a_kept_frame(name):
         setattr(cfg.camera, name[len("camera."):], np.nan)
     else:
         target[name][0] = np.nan
+    message = (f"^{re.escape(name)} must be finite" if name.startswith("camera.")
+               else "must be finite to render")
     for _ in range(2):                      # a failed frame keeps no key
-        with pytest.raises(ValueError, match="must be finite to render"):
+        with pytest.raises(ValueError, match=message):
+            world.render()
+
+
+@pytest.mark.parametrize("name,value", [("camera.width", 64.0), ("camera.height", True),
+                                        ("camera.focal_px", "60.0")], ids=repr)
+def test_render_rejects_a_camera_field_world_would_reject(name, value):
+    """64.0 packs to the bytes of the kept width 64, and text packs to none: the
+    view key also holds each intrinsic's type, and never raises itself."""
+    world = World(make_short_scene(0))
+    world.render()
+    setattr(world.config.camera, name[len("camera."):], value)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
             world.render()
 
 
