@@ -419,24 +419,24 @@ class World:
         returned and nothing is derived. Its arrays are read-only, since
         render() hands them to every frame of the same inputs.
 
-        Otherwise a new camera key is checked with the camera fields'
-        parsers, and the camera pose, box corners and colors must be finite,
-        before anything is cast. Only keys that passed are kept, so a value
-        either check rejects never matches them and always raises ValueError.
-        From the intrinsics read for its key, the camera gives the
-        camera-frame rays and what `_windows` and the disparity take; the
-        view adds the origin, rotation, ray directions `dirs` (N, 3) and
-        their reciprocals as (3, H, W) planes, one per axis. Each box is cast only over its
-        pixel window (see `_windows`), on the window's slice of those
-        planes, and its window and the entry distance t of each ray in it
-        are kept under its box key. At the view of the last cast only a
-        stale box is cast again: one whose key changed, or one past the
-        boxes that cast had. A new view casts every box. The kept t are then
-        composited on (H, W) planes in box order with a strict `t < best`,
-        which picks the nearest box, ties going to the first, exactly as one
-        cast of every box would; pixels outside every window keep t = inf.
-        Each pixel's color and hit id are gathered from the tables, which
-        copies their values bit for bit, so a recolor casts nothing.
+        Otherwise a new camera key is checked with the camera fields' parsers,
+        and the camera pose, box corners and colors must be finite, before
+        anything is cast. Only keys that passed are kept, so a value either
+        check rejects never matches them and always raises ValueError. From the
+        intrinsics read for its key, the camera gives the camera-frame rays and
+        what `_windows` and the disparity take; the view adds the origin,
+        rotation, ray directions `dirs` (N, 3) and their reciprocals as
+        (3, H, W) planes, one per axis. Each box is cast only over its pixel window
+        (see `_windows`), on the window's slice of those planes, and its window
+        and the entry distance t of each ray in it are kept under its box key.
+        At the view of the last cast only a stale box is cast again: one whose
+        key changed, or one past the boxes that cast had. A new view casts
+        every box. The kept t are then composited on (H, W) planes in box order
+        with a strict `t < best`, which picks the nearest box, ties going to
+        the first, exactly as one cast of every box would; pixels outside every
+        window keep t = inf. Each pixel's color and hit id are gathered from
+        the tables, which copies their values bit for bit, so a recolor casts
+        nothing.
         """
         cfg, cam = self.config, self.config.camera
         intrinsics = (cam.width, cam.height, cam.focal_px, cam.baseline_m, cam.height_m,
